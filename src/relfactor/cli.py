@@ -21,7 +21,7 @@ from .evaluation import SplitSpec, classify, evaluate, split_cold_start, split_h
 from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
-from .model import load_model, save_model, sigmoid
+from .model import load_model, save_model, score_cells, sigmoid_array
 from .schema import (Database, Manifest, build_database, format_manifest,
                      format_tuple_line, load_manifest, read_tuple_stream)
 from .synth import SynthSpec, generate_planted
@@ -224,8 +224,7 @@ def _cmd_train(args) -> CommandOutcome:
     config = TrainConfig(k=args.k, relations=args.relations.split(","),
                          lam=args.lam, gamma=args.gamma, epochs=args.epochs,
                          seed=args.seed, neg_ratio=args.neg_ratio,
-                         enable_biases=args.biases, init_scale=args.init_scale,
-                         parallel_mode=args.parallel_mode)
+                         enable_biases=args.biases, init_scale=args.init_scale)
     validation = None
     if args.validation:
         validation = list(read_tuple_stream(args.validation, db.manifest))
@@ -268,7 +267,8 @@ def _cmd_evaluate(args) -> CommandOutcome:
 def _cmd_predict(args) -> CommandOutcome:
     store = load_model(args.model)
     lines = []
-    errors = 0
+    scored = []  # positions in lines of the pairs that resolved
+    rel_names, rows, cols = [], [], []
     with open(args.pairs, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.rstrip("\n")
@@ -277,18 +277,24 @@ def _cmd_predict(args) -> CommandOutcome:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{args.pairs}:{lineno}: expected 3 columns")
-            rel_name, e1, e2 = parts
             try:
-                p = sigmoid(store.raw_score(rel_name, e1, e2))
+                rel, e1, e2 = store.resolve(*parts)
             except DataError:
                 if args.strict:
                     raise
-                errors += 1
-                lines.append(f"{rel_name}\t{e1}\t{e2}\tERR_UNKNOWN_ENTITY")
+                lines.append(f"{line}\tERR_UNKNOWN_ENTITY")
                 continue
-            lines.append(f"{rel_name}\t{e1}\t{e2}\t{p:.17g}\t{classify(p, args.threshold)}")
+            scored.append(len(lines))
+            lines.append(line)
+            rel_names.append(rel.name)
+            rows.append(e1.index)
+            cols.append(e2.index)
+    probs = sigmoid_array(score_cells(store, rel_names, rows, cols)).tolist()
+    for t, p in zip(scored, probs):
+        lines[t] += f"\t{p:.17g}\t{classify(p, args.threshold)}"
     _write_atomic(args.out, "".join(line + "\n" for line in lines))
-    summary = f"scored {len(lines) - errors} pairs"
+    errors = len(lines) - len(scored)
+    summary = f"scored {len(scored)} pairs"
     if errors:
         summary += f" ({errors} rows with unknown entities)"
     return CommandOutcome(0, [args.out], summary)
@@ -398,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neg-ratio", type=float, default=1.0)
     p.add_argument("--biases", action="store_true")
     p.add_argument("--init-scale", type=float, default=0.01)
-    p.add_argument("--parallel-mode", choices=["deterministic", "racy"],
-                   default="deterministic")
     p.add_argument("--validation", help="labeled cells for checkpoint-best retention")
     p.add_argument("--log", help="write per-epoch TSV log here")
     p.add_argument("--out", required=True)

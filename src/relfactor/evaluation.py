@@ -18,10 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .model import EmbeddingStore, sigmoid
+from .model import EmbeddingStore, resolve_cells, score_cells, sigmoid_array
 from .rng import substream
-from .schema import Database
-from .train import LabeledCell
+from .schema import Database, LabeledCell
 
 
 @dataclass
@@ -131,6 +130,16 @@ class ConfusionCounts:
     tn: int = 0
     fn: int = 0
 
+    @classmethod
+    def from_arrays(cls, predictions: Sequence[int], labels: Sequence[int]) -> "ConfusionCounts":
+        """Counts of predictions against labels, each 1 (positive) or not."""
+        pred = np.asarray(predictions) == 1
+        pos = np.asarray(labels) == 1
+        tp = int(np.count_nonzero(pred & pos))
+        fp = int(np.count_nonzero(pred & ~pos))
+        fn = int(np.count_nonzero(~pred & pos))
+        return cls(tp, fp, len(pos) - tp - fp - fn, fn)
+
     @property
     def precision(self) -> float:
         denom = self.tp + self.fp
@@ -191,21 +200,10 @@ def f1_report(predictions: Sequence[int], labels: Sequence[int],
     """Exact confusion counts and P/R/F1 for one prediction/label set."""
     if len(predictions) != len(labels):
         raise DataError("predictions and labels must have equal length")
-    if not labels:
+    if len(labels) == 0:
         raise DataError("empty prediction/label set")
-    counts = ConfusionCounts()
-    for pred, y in zip(predictions, labels):
-        if y == 1:
-            if pred == 1:
-                counts.tp += 1
-            else:
-                counts.fn += 1
-        else:
-            if pred == 1:
-                counts.fp += 1
-            else:
-                counts.tn += 1
-    return EvalReport(datasets={name: counts}, threshold=threshold)
+    return EvalReport(datasets={name: ConfusionCounts.from_arrays(predictions, labels)},
+                      threshold=threshold)
 
 
 def micro_f1(reports: Sequence[EvalReport]) -> EvalReport:
@@ -257,26 +255,14 @@ def evaluate(store: EmbeddingStore, test_set: Sequence[LabeledCell],
     (over all cells) is included when both classes appear in the labels."""
     if not test_set:
         raise DataError("empty test set")
-    scores = []
-    labels = []
-    datasets: dict[str, ConfusionCounts] = {}
-    for rel_name, e1_id, e2_id, y in test_set:
-        p = sigmoid(store.raw_score(rel_name, e1_id, e2_id))
-        pred = classify(p, threshold)
-        scores.append(p)
-        labels.append(int(y))
-        counts = datasets.setdefault(rel_name, ConfusionCounts())
-        if y == 1:
-            if pred == 1:
-                counts.tp += 1
-            else:
-                counts.fn += 1
-        else:
-            if pred == 1:
-                counts.fp += 1
-            else:
-                counts.tn += 1
+    rel_names, rows, cols, labels = resolve_cells(store, test_set)
+    scores = sigmoid_array(score_cells(store, rel_names, rows, cols))
+    preds = scores >= threshold  # classify(), elementwise
+    relation_of = np.asarray(rel_names)
+    datasets = {name: ConfusionCounts.from_arrays(preds[relation_of == name],
+                                                  labels[relation_of == name])
+                for name in dict.fromkeys(rel_names)}
     report = EvalReport(datasets=datasets, threshold=threshold)
-    if 0 < sum(labels) < len(labels):
+    if 0 < int(labels.sum()) < len(labels):
         report.pr_points = pr_curve(scores, labels)
     return report

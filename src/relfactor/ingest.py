@@ -179,7 +179,6 @@ def escape_text(text: str) -> str:
 
 def unescape_text(text: str) -> str:
     out = []
-    it = iter(range(len(text)))
     i = 0
     while i < len(text):
         ch = text[i]

@@ -16,6 +16,8 @@ from .errors import DataError
 
 # Raw stream record: (relation_name, e1_id, e2_id, label)
 StreamTuple = tuple[str, str, str, int]
+# Labeled evaluation cell: (relation, e1_id, e2_id, label)
+LabeledCell = tuple[str, str, str, int]
 
 
 @dataclass(frozen=True)

@@ -15,24 +15,21 @@ contribute sampled cells labeled by lookup (unobserved = 0) without rejection.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError, DivergenceError
-from .model import EmbeddingStore, init_embeddings, log_likelihood, sigmoid
+from .evaluation import ConfusionCounts
+from .model import (EmbeddingStore, init_embeddings, log_likelihood, resolve_cells,
+                    score_cells, sigmoid)
 from .rng import substream, substream_seed
-from .schema import Database
+from .schema import Database, LabeledCell
 
 _DIVERGENCE_LIMIT = 1e6
 _REJECTION_CAP = 100
-
-# Labeled evaluation cell: (relation, e1_id, e2_id, label)
-LabeledCell = tuple[str, str, str, int]
 
 
 @dataclass
@@ -46,8 +43,6 @@ class TrainConfig:
     neg_ratio: float = 1.0
     enable_biases: bool = False
     init_scale: float = 0.01
-    parallel_mode: str = "deterministic"
-    enumerate_fully_observed: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -62,8 +57,6 @@ class TrainConfig:
             raise DataError("epoch count must be >= 1")
         if self.neg_ratio <= 0:
             raise DataError("neg_ratio must be positive")
-        if self.parallel_mode not in ("deterministic", "racy"):
-            raise DataError(f"unknown parallel_mode {self.parallel_mode!r}")
 
 
 @dataclass
@@ -187,63 +180,13 @@ def _sample_fully_observed(db: Database, relation: str, count: int,
     return [(int(i), int(j), cells.get((int(i), int(j)), 0)) for i, j in zip(ri, ci)]
 
 
-def _enumerate_unobserved(db: Database, relation: str) -> list[tuple[int, int, int]]:
-    """Every unobserved cell of a fully_observed relation as an explicit
-    negative. Desk-scale oracle path only (O(rows * cols))."""
-    rel = db.relation(relation)
-    cells = db.cells(relation)
-    out = []
-    for r in db.entities.of_type(rel.row_type):
-        for c in db.entities.of_type(rel.col_type):
-            if (r.index, c.index) not in cells:
-                out.append((r.index, c.index, 0))
-    return out
-
-
-def _resolve_cells(store: EmbeddingStore, cells: Sequence[LabeledCell]):
-    rel_names, rows, cols, labels = [], [], [], []
-    for rel_name, e1_id, e2_id, y in cells:
-        rel, e1, e2 = store.resolve(rel_name, e1_id, e2_id)
-        rel_names.append(rel.name)
-        rows.append(e1.index)
-        cols.append(e2.index)
-        labels.append(int(y))
-    return rel_names, np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64), \
-        np.asarray(labels, dtype=np.int64)
-
-
-def _validation_f1(store: EmbeddingStore, rel_names, rows, cols, labels) -> float:
-    s = np.einsum("ij,ij->i", store.vectors[rows], store.vectors[cols])
-    if store.enable_biases:
-        s = s + store.biases[rows] + store.biases[cols] \
-            + np.asarray([store.offsets[r] for r in rel_names])
-    preds = s >= 0.0  # sigmoid(s) >= 0.5
-    tp = int(np.sum(preds & (labels == 1)))
-    fp = int(np.sum(preds & (labels == 0)))
-    fn = int(np.sum(~preds & (labels == 1)))
-    denom = 2 * tp + fp + fn
-    return (2 * tp / denom) if denom else 0.0
-
-
-def _worker_count() -> int:
-    env = os.environ.get("RELFACTOR_THREADS", "")
-    try:
-        if env.strip():
-            return max(1, int(env))
-    except ValueError:
-        pass
-    return min(4, os.cpu_count() or 1)
-
-
 def train(db: Database, config: TrainConfig,
           validation: Optional[Sequence[LabeledCell]] = None) -> tuple[EmbeddingStore, TrainLog]:
     """Fit embeddings by SGD; returns the store and a per-epoch log.
 
     With a validation set attached, the parameters from the epoch with the
-    highest validation F1 are retained (checkpoint-best). Deterministic mode
-    is bit-reproducible for a fixed (db, config); racy mode applies updates
-    from multiple threads without synchronization and only converges
-    statistically.
+    highest validation F1 are retained (checkpoint-best). Training is
+    bit-reproducible for a fixed (db, config).
     """
     for name in config.relations:
         db.relation(name)
@@ -259,14 +202,11 @@ def train(db: Database, config: TrainConfig,
                             enable_biases=config.enable_biases)
     vectors, biases, offsets = store.vectors, store.biases, store.offsets
 
-    val_resolved = None
     val_positive_cells: set[tuple[int, int]] = set()
     if validation is not None:
-        val_resolved = _resolve_cells(store, validation)
+        val_names, val_rows, val_cols, val_labels = resolve_cells(store, validation)
         val_positive_cells = {
-            (int(r), int(c))
-            for r, c, y in zip(val_resolved[1], val_resolved[2], val_resolved[3])
-            if y == 1
+            (int(r), int(c)) for r, c, y in zip(val_rows, val_cols, val_labels) if y == 1
         }
 
     pos_counts = {
@@ -299,11 +239,8 @@ def train(db: Database, config: TrainConfig,
                     if (i, j) in val_positive_cells:
                         val_collisions += 1
             elif rel.fully_observed:
-                if config.enumerate_fully_observed:
-                    sampled = _enumerate_unobserved(db, name)
-                else:
-                    count = int(round(config.neg_ratio * pos_counts[name]))
-                    sampled = _sample_fully_observed(db, name, count, rng)
+                count = int(round(config.neg_ratio * pos_counts[name]))
+                sampled = _sample_fully_observed(db, name, count, rng)
                 neg_counts[name] = len(sampled)
                 for (i, j, y) in sampled:
                     examples.append((name, i, j, y))
@@ -313,31 +250,15 @@ def train(db: Database, config: TrainConfig,
         shuffle_rng = substream(config.seed, "shuffle", epoch)
         order = shuffle_rng.permutation(len(examples))
 
-        if config.parallel_mode == "racy":
-            workers = _worker_count()
-            shards = np.array_split(order, workers)
-
-            def run_shard(shard):
-                for t in shard:
-                    name, i, j, y = examples[t]
-                    e = _apply_update(vectors, biases, offsets, name, i, j,
-                                      float(y), config.gamma, config.lam)
-                    if e != e:  # NaN
-                        raise DivergenceError("non-finite residual during racy epoch")
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for fut in [pool.submit(run_shard, s) for s in shards]:
-                    fut.result()
-        else:
-            gamma, lam = config.gamma, config.lam
-            for t in order:
-                name, i, j, y = examples[t]
-                e = _apply_update(vectors, biases, offsets, name, i, j,
-                                  float(y), gamma, lam)
-                if e != e:  # NaN residual: parameters went non-finite
-                    raise DivergenceError(
-                        f"non-finite parameters at epoch {epoch} on {name} cell ({i},{j})"
-                    )
+        gamma, lam = config.gamma, config.lam
+        for t in order:
+            name, i, j, y = examples[t]
+            e = _apply_update(vectors, biases, offsets, name, i, j,
+                              float(y), gamma, lam)
+            if e != e:  # NaN residual: parameters went non-finite
+                raise DivergenceError(
+                    f"non-finite parameters at epoch {epoch} on {name} cell ({i},{j})"
+                )
 
         if not np.all(np.isfinite(vectors)) or np.abs(vectors).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"parameter magnitude exceeded {_DIVERGENCE_LIMIT:g} "
@@ -346,8 +267,13 @@ def train(db: Database, config: TrainConfig,
         objective = log_likelihood(store, db, config.relations, config.lam,
                                    sampled_negatives=epoch_negatives)
         val_f1 = None
-        if val_resolved is not None:
-            val_f1 = _validation_f1(store, *val_resolved)
+        if validation is not None:
+            preds = score_cells(store, val_names, val_rows, val_cols) >= 0.0  # sigmoid >= 0.5
+            c = ConfusionCounts.from_arrays(preds, val_labels)
+            # 2tp / (2tp + fp + fn) rounds once, so equal F1 values tie exactly
+            # and checkpoint-best keeps the earliest epoch among them
+            denom = 2 * c.tp + c.fp + c.fn
+            val_f1 = 2 * c.tp / denom if denom else 0.0
             if val_f1 > best_f1:
                 best_f1 = val_f1
                 best_params = store.copy_parameters()

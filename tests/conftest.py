@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from relfactor.model import EmbeddingStore, save_model
 from relfactor.schema import build_database, parse_manifest
 
 
@@ -50,3 +52,64 @@ def simple_db(simple_manifest):
         ("R", "u2", "b1", 1),
     ]
     return build_database(simple_manifest, stream)
+
+
+@pytest.fixture
+def model_lines(simple_db, tmp_path):
+    """Lines of a valid saved model over simple_db, with biases and an offset."""
+    rng = np.random.default_rng(3)
+    n = len(simple_db.entities)
+    store = EmbeddingStore(simple_db.entities, simple_db.relations, rng.normal(size=(n, 2)),
+                           enable_biases=True, biases=rng.normal(size=n), offsets={"R": 0.25})
+    path = tmp_path / "valid.rfm"
+    save_model(store, path)
+    return path.read_text().splitlines()
+
+
+def _edit_line(prefix, edit):
+    """Model-file mutation: replace the first line starting with prefix by
+    the lines edit(line) returns."""
+    def mutate(lines):
+        t = next(n for n, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:t] + edit(lines[t]) + lines[t + 1:]
+    return mutate
+
+
+def _set_last_token(value):
+    return lambda line: [line.rsplit(" ", 1)[0] + " " + value]
+
+
+def _set_bias(value):
+    def edit(line):
+        key, _, coords = line.split("\t")
+        return [f"{key}\tb={value}\t{coords}"]
+    return edit
+
+
+# name -> (mutation of model_lines, pattern of the DataError it must raise)
+MALFORMED_MODELS = {
+    "header-token-without-equals": (_edit_line("relfactor-model", lambda l: [l + " junk"]),
+                                    "malformed model header"),
+    "nonpositive-k": (_edit_line("relfactor-model", lambda l: [l.replace("k=2", "k=-2")]),
+                      "malformed model header"),
+    "unknown-relation-flag": (_edit_line("relation ", lambda l: [l + " sideways"]),
+                              "unknown flag 'sideways'"),
+    "relation-over-undeclared-type": (
+        _edit_line("relation ", lambda l: [l.replace("business", "shop")]),
+        "undeclared entity type 'shop'"),
+    "duplicate-entity": (_edit_line("user:u1\t", lambda l: [l, l]),
+                         r"m\.rfm:6: duplicate entity user:u1"),
+    "nan-coordinate": (_edit_line("user:u1\t", _set_last_token("nan")),
+                       r"m\.rfm:5: non-finite"),
+    "inf-bias": (_edit_line("user:u1\t", _set_bias("inf")), r"m\.rfm:5: non-finite"),
+    "nan-offset": (_edit_line("offset ", _set_last_token("nan")), r"m\.rfm:\d+: non-finite"),
+    "offset-of-undeclared-relation": (_edit_line("offset ", lambda l: [l.replace(" R ", " Q ")]),
+                                      "offset of undeclared relation 'Q'"),
+    "malformed-number": (_edit_line("user:u1\t", _set_last_token("0.5x")),
+                         r"m\.rfm:5: malformed number"),
+}
+
+
+def write_model(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path

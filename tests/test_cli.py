@@ -3,6 +3,8 @@ import pytest
 from relfactor.cli import main
 from relfactor.model import load_model
 
+from conftest import MALFORMED_MODELS, write_model
+
 SUBCOMMANDS = ["synth", "ingest", "split", "train", "evaluate", "predict",
                "nn", "project", "export-vectors"]
 
@@ -207,6 +209,23 @@ class TestPredictCli:
         assert run("predict", "--model", str(model_path), "--pairs", str(pairs),
                    "--out", str(out)) == 0
         assert out.read_text() == ""
+
+
+class TestMalformedModelCli:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_nn_and_predict_exit_2(self, case, model_lines, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("R\tu1\tb1\n")
+        good = write_model(tmp_path / "good.rfm", model_lines)
+        assert run("nn", "--model", str(good), "--entity", "user:u1") == 0
+        mutate, _ = MALFORMED_MODELS[case]
+        bad = write_model(tmp_path / "bad.rfm", mutate(model_lines))
+        assert run("nn", "--model", str(bad), "--entity", "user:u1") == 2
+        out = tmp_path / "preds.tsv"
+        assert run("predict", "--model", str(bad), "--pairs", str(pairs),
+                   "--out", str(out)) == 2
+        assert not out.exists() and not list(tmp_path.glob(".preds.tsv.tmp*"))
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEmbedCli:

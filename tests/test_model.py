@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relfactor.errors import DataError
+from relfactor.evaluation import classify, evaluate, f1_report
 from relfactor.model import (EmbeddingStore, init_embeddings, load_model,
-                             log_likelihood, save_model, score, sigmoid)
-from relfactor.schema import build_database
+                             log_likelihood, save_model, score, score_cells,
+                             sigmoid, sigmoid_array)
+from relfactor.schema import build_database, parse_manifest
+
+from conftest import MALFORMED_MODELS, write_model
 
 
 def store_with(db, assignments, k, enable_biases=False):
@@ -65,6 +69,59 @@ class TestScore:
         store = store_with(simple_db, {}, k=2)
         with pytest.raises(DataError):
             score(store, "R", "ghost", "b1")
+
+
+@st.composite
+def scored_stores(draw):
+    """A random store over two relations, with or without biases, and
+    every cell of both relations with a random label."""
+    n_users, n_items, n_tags, k = (draw(st.integers(1, 4)) for _ in range(4))
+    enable_biases = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    manifest = parse_manifest("type user\ntype item\ntype tag\n"
+                              "relation R user item\nrelation T item tag positives_only\n")
+    census = ([("user", f"u{i}") for i in range(n_users)]
+              + [("item", f"i{i}") for i in range(n_items)]
+              + [("tag", f"t{i}") for i in range(n_tags)])
+    db = build_database(manifest, [], census=census)
+    n = len(db.entities)
+    store = EmbeddingStore(db.entities, db.relations, rng.normal(scale=2.0, size=(n, k)),
+                           enable_biases=enable_biases, biases=rng.normal(size=n),
+                           offsets={"R": float(rng.normal()), "T": float(rng.normal())})
+    cells = [("R", f"u{a}", f"i{b}", int(rng.integers(0, 2)))
+             for a in range(n_users) for b in range(n_items)]
+    cells += [("T", f"i{a}", f"t{b}", int(rng.integers(0, 2)))
+              for a in range(n_items) for b in range(n_tags)]
+    return store, cells
+
+
+class TestScoreCells:
+    @settings(max_examples=60, deadline=None)
+    @given(scored_stores())
+    def test_matches_score_cell_by_cell(self, case):
+        store, cells = case
+        resolved = [store.resolve(r, a, b) for r, a, b, _ in cells]
+        probs = sigmoid_array(score_cells(store, [rel.name for rel, _, _ in resolved],
+                                          [e1.index for _, e1, _ in resolved],
+                                          [e2.index for _, _, e2 in resolved]))
+        for (rel, e1, e2), p in zip(resolved, probs):
+            assert abs(p - score(store, rel.name, e1.id, e2.id)) <= 1e-12
+            s = math.fsum(store.vectors[e1.index] * store.vectors[e2.index])
+            if store.enable_biases:
+                s += store.biases[e1.index] + store.biases[e2.index] + store.offsets[rel.name]
+            assert abs(p - sigmoid(s)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(scored_stores())
+    def test_evaluate_counts_match_scalar_classification(self, case):
+        store, cells = case
+        report = evaluate(store, cells)
+        for name in ("R", "T"):
+            mine = [c for c in cells if c[0] == name]
+            preds = [classify(score(store, r, a, b)) for r, a, b, _ in mine]
+            expected = f1_report(preds, [y for *_, y in mine]).pooled
+            assert report.datasets[name] == expected
+            assert all(type(v) is int for v in vars(report.datasets[name]).values())
 
 
 class TestLogLikelihood:
@@ -193,6 +250,19 @@ class TestPersistence:
         lines[-1] = lines[-1].rsplit(" ", 1)[0]  # drop one coordinate
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="coordinates"):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_model_rejected(self, case, model_lines, tmp_path):
+        mutate, match = MALFORMED_MODELS[case]
+        path = write_model(tmp_path / "m.rfm", mutate(model_lines))
+        with pytest.raises(DataError, match=match):
+            load_model(path)
+
+    def test_non_utf8_model_rejected(self, tmp_path):
+        path = tmp_path / "m.rfm"
+        path.write_bytes(b"relfactor-model v1 k=2 biases=0\ntype \xff\n")
+        with pytest.raises(DataError, match="UTF-8"):
             load_model(path)
 
     def test_compact_mode_loads(self, simple_db, tmp_path):

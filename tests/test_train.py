@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relfactor.errors import DataError, DivergenceError
-from relfactor.model import EmbeddingStore, log_likelihood, sigmoid
+from relfactor.model import EmbeddingStore, sigmoid
 from relfactor.rng import substream
 from relfactor.schema import build_database, parse_manifest
 from relfactor.synth import SynthSpec, generate_planted
@@ -256,26 +256,6 @@ class TestTrain:
         assert lines[0] == "epoch\tobjective\tval_f1\tseconds"
         assert len(lines) == 3
         assert lines[1].split("\t")[2] == "NA"
-
-    def test_enumerate_fully_observed_path(self):
-        manifest = parse_manifest(RICH_MANIFEST)
-        stream = [("C", "b1", "c1", 1), ("C", "b2", "c2", 1), ("R", "u1", "b1", 1)]
-        db = build_database(manifest, stream)
-        cfg = TrainConfig(k=2, relations=["C"], epochs=2, seed=0,
-                          enumerate_fully_observed=True)
-        _, log = train(db, cfg)
-        # 2 businesses x 2 categories minus 2 observed cells
-        assert log.entries[0].negatives_sampled["C"] == 2
-
-    def test_racy_mode_runs_and_converges_statistically(self, monkeypatch):
-        monkeypatch.setenv("RELFACTOR_THREADS", "2")
-        db = self.db()
-        cfg = TrainConfig(k=2, relations=["R"], lam=0.0, gamma=0.05, epochs=60,
-                          seed=8, parallel_mode="racy")
-        store, log = train(db, cfg)
-        n = db.tuple_count("R")
-        nll = -log_likelihood(store, db, ["R"], 0.0) / n
-        assert nll < 0.5
 
     def test_validation_collisions_counted(self):
         manifest = parse_manifest(RICH_MANIFEST)
