@@ -23,7 +23,7 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array
 from .schema import (Database, Manifest, build_database, format_manifest,
-                     format_tuple_line, load_manifest, read_tuple_stream)
+                     format_tuple_line, load_manifest, read_rows, read_tuple_stream)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
@@ -31,7 +31,6 @@ from .embed_tools import nearest_neighbors, project_2d
 
 @dataclass
 class CommandOutcome:
-    exit_code: int = 0
     files_written: list[str] = field(default_factory=list)
     summary: str = ""
 
@@ -71,14 +70,7 @@ def _load_database(schema_path: str, data_dir: str) -> Database:
     census = None
     census_path = data / "entities.tsv"
     if census_path.exists():
-        census = []
-        for lineno, line in enumerate(census_path.read_text("utf-8").splitlines(), start=1):
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{census_path}:{lineno}: expected 2 columns")
-            census.append((parts[0], parts[1]))
+        census = [(etype, eid) for _, (etype, eid) in read_rows(census_path, 2, 2)]
 
     def stream():
         for path in sorted(data.glob("*.tsv")):
@@ -124,7 +116,7 @@ def _cmd_synth(args) -> CommandOutcome:
     db = generate_planted(spec)
     written = _write_database(db, args.out)
     counts = ", ".join(f"{name}={db.tuple_count(name)}" for name in db.relations)
-    return CommandOutcome(0, written,
+    return CommandOutcome(written,
                           f"synthesized {len(db.entities)} entities; tuples: {counts}")
 
 
@@ -134,8 +126,7 @@ def _cmd_ingest(args) -> CommandOutcome:
                               min_category_entities=args.min_category_entities,
                               stemmer=args.stemmer)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
+    queued: list[tuple[Path, str]] = []  # written only after every input is read
 
     def relation_for(name: str, expected: set[str]):
         rel = manifest.relations.get(name)
@@ -152,9 +143,7 @@ def _cmd_ingest(args) -> CommandOutcome:
         for first, second, label in pairs_with_labels:
             e1, e2 = (first, second) if rel.row_type == first_type else (second, first)
             lines.append(format_tuple_line(rel, e1, e2, label))
-        path = out / f"{rel.name}.tsv"
-        _write_atomic(path, "".join(line + "\n" for line in lines))
-        written.append(str(path))
+        queued.append((out / f"{rel.name}.tsv", "".join(line + "\n" for line in lines)))
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
@@ -177,9 +166,13 @@ def _cmd_ingest(args) -> CommandOutcome:
         rel = relation_for(args.user_word_relation, {args.user_type, args.word_type})
         emit(rel, [(u, w, 1) for u, w in build_word_relations(reviews, "user", config)],
              args.user_type)
-    if not written:
+    if not queued:
         raise DataError("no input files given; nothing to ingest")
-    return CommandOutcome(0, written, f"wrote {len(written)} tuple stream(s) to {out}")
+    out.mkdir(parents=True, exist_ok=True)
+    for path, text in queued:
+        _write_atomic(path, text)
+    return CommandOutcome([str(path) for path, _ in queued],
+                          f"wrote {len(queued)} tuple stream(s) to {out}")
 
 
 def _cmd_split(args) -> CommandOutcome:
@@ -216,7 +209,7 @@ def _cmd_split(args) -> CommandOutcome:
                f"{len(test)} test tuples")
     if cold is not None:
         summary += f", {len(cold)} cold entities"
-    return CommandOutcome(0, written, summary)
+    return CommandOutcome(written, summary)
 
 
 def _cmd_train(args) -> CommandOutcome:
@@ -240,7 +233,7 @@ def _cmd_train(args) -> CommandOutcome:
     if validation is not None:
         best = max(e.val_f1 for e in log.entries)
         summary += f"; best validation F1 {best:.4f}"
-    return CommandOutcome(0, written, summary)
+    return CommandOutcome(written, summary)
 
 
 def _cmd_evaluate(args) -> CommandOutcome:
@@ -261,7 +254,7 @@ def _cmd_evaluate(args) -> CommandOutcome:
     summary = (f"{len(test)} cells @ threshold {args.threshold}: "
                f"precision {pooled.precision:.4f}, recall {pooled.recall:.4f}, "
                f"F1 {pooled.f1:.4f}")
-    return CommandOutcome(0, written, summary)
+    return CommandOutcome(written, summary)
 
 
 def _cmd_predict(args) -> CommandOutcome:
@@ -269,26 +262,20 @@ def _cmd_predict(args) -> CommandOutcome:
     lines = []
     scored = []  # positions in lines of the pairs that resolved
     rel_names, rows, cols = [], [], []
-    with open(args.pairs, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{args.pairs}:{lineno}: expected 3 columns")
-            try:
-                rel, e1, e2 = store.resolve(*parts)
-            except DataError:
-                if args.strict:
-                    raise
-                lines.append(f"{line}\tERR_UNKNOWN_ENTITY")
-                continue
-            scored.append(len(lines))
-            lines.append(line)
-            rel_names.append(rel.name)
-            rows.append(e1.index)
-            cols.append(e2.index)
+    for _, parts in read_rows(args.pairs, 3, 3):
+        line = "\t".join(parts)
+        try:
+            rel, e1, e2 = store.resolve(*parts)
+        except DataError:
+            if args.strict:
+                raise
+            lines.append(f"{line}\tERR_UNKNOWN_ENTITY")
+            continue
+        scored.append(len(lines))
+        lines.append(line)
+        rel_names.append(rel.name)
+        rows.append(e1.index)
+        cols.append(e2.index)
     probs = sigmoid_array(score_cells(store, rel_names, rows, cols)).tolist()
     for t, p in zip(scored, probs):
         lines[t] += f"\t{p:.17g}\t{classify(p, args.threshold)}"
@@ -297,7 +284,7 @@ def _cmd_predict(args) -> CommandOutcome:
     summary = f"scored {len(scored)} pairs"
     if errors:
         summary += f" ({errors} rows with unknown entities)"
-    return CommandOutcome(0, [args.out], summary)
+    return CommandOutcome([args.out], summary)
 
 
 def _cmd_nn(args) -> CommandOutcome:
@@ -307,22 +294,17 @@ def _cmd_nn(args) -> CommandOutcome:
                                type_filter=args.type)
     body = "".join(f"{e.type}:{e.id}\t{s:.6f}\n" for e, s in result.neighbors)
     sys.stdout.write(body)
-    return CommandOutcome(0, [], f"{len(result.neighbors)} neighbors of {args.entity} "
-                                 f"by {args.metric}")
+    return CommandOutcome([], f"{len(result.neighbors)} neighbors of {args.entity} "
+                              f"by {args.metric}")
 
 
 def _cmd_project(args) -> CommandOutcome:
     store = load_model(args.model)
-    subset = []
-    with open(args.entities, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                subset.append(_parse_entity_ref(line))
+    subset = [_parse_entity_ref(ref.strip()) for _, (ref,) in read_rows(args.entities, 1, 1)]
     coords = project_2d(store, subset)
     text = "".join(f"{e.type}:{e.id}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
     _write_atomic(args.out, text)
-    return CommandOutcome(0, [args.out], f"projected {len(coords)} entities to 2-D")
+    return CommandOutcome([args.out], f"projected {len(coords)} entities to 2-D")
 
 
 def _cmd_export_vectors(args) -> CommandOutcome:
@@ -332,7 +314,7 @@ def _cmd_export_vectors(args) -> CommandOutcome:
         coords = "\t".join(format(c, ".17g") for c in store.vectors[ent.index])
         rows.append(f"{ent.type}:{ent.id}\t{coords}")
     _write_atomic(args.out, "".join(r + "\n" for r in rows))
-    return CommandOutcome(0, [args.out],
+    return CommandOutcome([args.out],
                           f"exported {len(rows)} vectors of dimension {store.k}")
 
 
@@ -463,7 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     if outcome.summary:
         print(outcome.summary)
-    return outcome.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,8 +51,8 @@ def nearest_neighbors(store: EmbeddingStore, entity_type: str, entity_id: str,
         norms = np.linalg.norm(mat, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             scores = np.where(norms > 0.0, scores / (norms * qn), 0.0)
-    ranked = sorted(zip(candidates, scores), key=lambda pair: (-pair[1], pair[0].index))
-    return NeighborResult(query, [(e, float(s)) for e, s in ranked[:n]], metric)
+    top = np.lexsort((idx, -scores))[:n]
+    return NeighborResult(query, [(candidates[t], float(scores[t])) for t in top], metric)
 
 
 def project_2d(store: EmbeddingStore,

@@ -13,10 +13,11 @@ import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DataError
 from .porter import porter_stem
+from .schema import read_rows
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -201,22 +202,10 @@ def unescape_text(text: str) -> str:
     return "".join(out)
 
 
-def _rows(path: str | os.PathLike, n_min: int, n_max: int) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if not (n_min <= len(parts) <= n_max):
-                raise DataError(f"{path}:{lineno}: expected {n_min}-{n_max} columns")
-            yield lineno, parts
-
-
 def read_ratings(path: str | os.PathLike) -> list[RawRating]:
     """TSV: user_id, item_id, stars[, timestamp]."""
     out = []
-    for lineno, parts in _rows(path, 3, 4):
+    for lineno, parts in read_rows(path, 3, 4):
         try:
             stars = int(parts[2])
             ts = int(parts[3]) if len(parts) == 4 else None
@@ -228,14 +217,14 @@ def read_ratings(path: str | os.PathLike) -> list[RawRating]:
 
 def read_reviews(path: str | os.PathLike) -> list[RawReview]:
     """TSV: user_id, item_id, text (tabs/newlines escaped)."""
-    return [RawReview(p[0], p[1], unescape_text(p[2])) for _, p in _rows(path, 3, 3)]
+    return [RawReview(p[0], p[1], unescape_text(p[2])) for _, p in read_rows(path, 3, 3)]
 
 
 def read_categories(path: str | os.PathLike) -> list[tuple[str, str]]:
     """TSV: item_id, category_id."""
-    return [(p[0], p[1]) for _, p in _rows(path, 2, 2)]
+    return [(p[0], p[1]) for _, p in read_rows(path, 2, 2)]
 
 
 def read_attributes(path: str | os.PathLike) -> list[tuple[str, str, str]]:
     """TSV: item_id, attr_name, attr_value."""
-    return [(p[0], p[1], p[2]) for _, p in _rows(path, 3, 3)]
+    return [(p[0], p[1], p[2]) for _, p in read_rows(path, 3, 3)]

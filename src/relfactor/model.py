@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError
 from .rng import substream
 from .schema import (Database, EntityRegistry, LabeledCell, Manifest, Relation,
-                     format_manifest, parse_manifest)
+                     format_manifest, parse_manifest, read_text)
 
 MODEL_MAGIC = "relfactor-model"
 MODEL_VERSION = "v1"
@@ -186,27 +186,22 @@ def log_likelihood(store: EmbeddingStore, db: Database,
 
 # --- persistence -------------------------------------------------------------
 
-def _fmt(x: float, compact: bool) -> str:
-    return format(x, ".9g") if compact else format(x, ".17g")
-
-
-def save_model(store: EmbeddingStore, path: str | os.PathLike, compact: bool = False) -> None:
-    """Write the versioned text format (bit-exact roundtrip unless compact).
+def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
+    """Write the versioned text format; loading it back is bit-exact.
 
     The header line is followed by the type/relation block in manifest
     format, one line per entity, then the relation offsets when biases are on.
     """
-    header = (f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
-              + (" compact=1" if compact else ""))
+    header = f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
     manifest = Manifest(list(store.entities.types), store.relations)
     lines = [header, *format_manifest(manifest).splitlines()]
     for ent in store.entities:
         b = store.biases[ent.index] if store.enable_biases else 0.0
-        coords = " ".join(_fmt(c, compact) for c in store.vectors[ent.index])
-        lines.append(f"{ent.type}:{ent.id}\tb={_fmt(b, compact)}\t{coords}")
+        coords = " ".join(format(c, ".17g") for c in store.vectors[ent.index])
+        lines.append(f"{ent.type}:{ent.id}\tb={b:.17g}\t{coords}")
     if store.enable_biases:
         for name, value in store.offsets.items():
-            lines.append(f"offset {name} {_fmt(value, compact)}")
+            lines.append(f"offset {name} {value:.17g}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -214,13 +209,8 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike, compact: bool = F
 def load_model(path: str | os.PathLike) -> EmbeddingStore:
     """Read a model written by save_model. Malformed content, duplicate
     entities and non-finite values raise DataError."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: model file is not UTF-8 text") from None
-    if not lines:
-        raise DataError(f"{path}: empty model file")
+    # split at "\n" only: entity ids may hold characters splitlines() breaks at
+    lines = read_text(path).split("\n")
     header = lines[0].split()
     if len(header) < 4 or header[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a relfactor model file")

@@ -110,8 +110,7 @@ def parse_manifest(text: str) -> Manifest:
 
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_manifest(f.read())
+    return parse_manifest(read_text(path))
 
 
 class EntityRegistry:
@@ -287,35 +286,62 @@ def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str,
 
 # --- file formats -----------------------------------------------------------
 
+def read_text(path: str | os.PathLike) -> str:
+    """Whole contents of a UTF-8 text file, ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def read_rows(path: str | os.PathLike, n_min: int,
+              n_max: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, tab-separated fields) of each row of a UTF-8 file.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, so ids may hold any other
+    character that ``str.splitlines`` would break at. Blank lines and lines
+    starting with ``#`` are skipped; a row with fewer than n_min or more than
+    n_max fields raises DataError.
+    """
+    expected = f"{n_min}" if n_min == n_max else f"{n_min}-{n_max}"
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if not (n_min <= len(parts) <= n_max):
+                    raise DataError(f"{path}:{lineno}: expected {expected} columns")
+                yield lineno, parts
+    except UnicodeDecodeError:
+        # decoding runs ahead of the lines read, so no line number is exact
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
 def read_tuple_stream(path: str | os.PathLike, manifest: Manifest) -> Iterator[StreamTuple]:
     """Read a tuple-stream TSV: ``relation \\t e1 \\t e2 \\t label``.
 
     For positives_only relations a 3-column form (label implied 1) is accepted.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 4:
-                rel_name, e1, e2, label_s = parts
-                if label_s not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
-                label = int(label_s)
-            elif len(parts) == 3:
-                rel_name, e1, e2 = parts
-                rel = manifest.relations.get(rel_name)
-                if rel is None:
-                    raise DataError(f"{path}:{lineno}: undeclared relation {rel_name!r}")
-                if not rel.positives_only:
-                    raise DataError(
-                        f"{path}:{lineno}: 3-column form only allowed for positives_only relations"
-                    )
-                label = 1
-            else:
-                raise DataError(f"{path}:{lineno}: expected 3 or 4 tab-separated columns")
-            yield (rel_name, e1, e2, label)
+    for lineno, parts in read_rows(path, 3, 4):
+        if len(parts) == 4:
+            rel_name, e1, e2, label_s = parts
+            if label_s not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label_s!r}")
+            label = int(label_s)
+        else:
+            rel_name, e1, e2 = parts
+            rel = manifest.relations.get(rel_name)
+            if rel is None:
+                raise DataError(f"{path}:{lineno}: undeclared relation {rel_name!r}")
+            if not rel.positives_only:
+                raise DataError(
+                    f"{path}:{lineno}: 3-column form only allowed for positives_only relations"
+                )
+            label = 1
+        yield (rel_name, e1, e2, label)
 
 
 def format_manifest(manifest: Manifest) -> str:

@@ -33,6 +33,22 @@ relation BW business word positives_only
 relation UW user word positives_only
 """
 
+# raw ingest inputs by file name, for relfactor ingest
+RAW_INPUTS = {
+    "schema.txt": ("type user\ntype item\ntype category\ntype attribute\ntype word\n"
+                   "relation R user item\n"
+                   "relation C item category positives_only\n"
+                   "relation A item attribute positives_only\n"
+                   "relation BW item word positives_only\n"
+                   "relation UW user word positives_only\n"),
+    "ratings.tsv": "u1\ti1\t5\t100\nu1\ti1\t2\t200\nu2\ti1\t4\nu2\ti2\t1\n",
+    "reviews.tsv": ("u1\ti1\tGreat tacos, the best tacos!\n"
+                    "u2\ti1\ttacos again\n"
+                    "u2\ti2\tterrible soup\n"),
+    "categories.tsv": "i1\tmexican\ni2\tmexican\ni2\tsoup\n",
+    "attributes.tsv": "i1\tSmoking\tOutdoor\n",
+}
+
 
 @pytest.fixture
 def simple_manifest():

@@ -3,7 +3,7 @@ import pytest
 from relfactor.cli import main
 from relfactor.model import load_model
 
-from conftest import MALFORMED_MODELS, write_model
+from conftest import MALFORMED_MODELS, RAW_INPUTS, write_model
 
 SUBCOMMANDS = ["synth", "ingest", "split", "train", "evaluate", "predict",
                "nn", "project", "export-vectors"]
@@ -261,22 +261,8 @@ class TestEmbedCli:
 
 class TestIngestCli:
     def write_raw(self, tmp_path):
-        (tmp_path / "schema.txt").write_text(
-            "type user\ntype item\ntype category\ntype attribute\ntype word\n"
-            "relation R user item\n"
-            "relation C item category positives_only\n"
-            "relation A item attribute positives_only\n"
-            "relation BW item word positives_only\n"
-            "relation UW user word positives_only\n")
-        (tmp_path / "ratings.tsv").write_text(
-            "u1\ti1\t5\t100\nu1\ti1\t2\t200\nu2\ti1\t4\nu2\ti2\t1\n")
-        (tmp_path / "reviews.tsv").write_text(
-            "u1\ti1\tGreat tacos, the best tacos!\n"
-            "u2\ti1\ttacos again\n"
-            "u2\ti2\tterrible soup\n")
-        (tmp_path / "categories.tsv").write_text(
-            "i1\tmexican\ni2\tmexican\ni2\tsoup\n")
-        (tmp_path / "attributes.tsv").write_text("i1\tSmoking\tOutdoor\n")
+        for name, text in RAW_INPUTS.items():
+            (tmp_path / name).write_text(text)
 
     def test_full_ingest(self, tmp_path):
         self.write_raw(tmp_path)

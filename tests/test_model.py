@@ -202,11 +202,13 @@ class TestPersistence:
                                rng.normal(size=(len(simple_db.entities), 5)))
         path = tmp_path / "m.rfm"
         save_model(store, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.vectors, store.vectors)
-        assert loaded.k == 5
-        assert [e.key for e in loaded.entities] == [e.key for e in store.entities]
-        assert set(loaded.relations) == set(store.relations)
+        old_header = tmp_path / "old.rfm"  # written by versions with a compact mode
+        old_header.write_text(path.read_text().replace(" biases=0", " biases=0 compact=1", 1))
+        for loaded in (load_model(path), load_model(old_header)):
+            assert np.array_equal(loaded.vectors, store.vectors)
+            assert loaded.k == 5
+            assert [e.key for e in loaded.entities] == [e.key for e in store.entities]
+            assert set(loaded.relations) == set(store.relations)
 
     def test_roundtrip_many_entities(self, simple_manifest, tmp_path):
         stream = [("R", f"u{i}", f"b{i}", 1) for i in range(50)]
@@ -264,12 +266,3 @@ class TestPersistence:
         path.write_bytes(b"relfactor-model v1 k=2 biases=0\ntype \xff\n")
         with pytest.raises(DataError, match="UTF-8"):
             load_model(path)
-
-    def test_compact_mode_loads(self, simple_db, tmp_path):
-        rng = np.random.default_rng(7)
-        store = EmbeddingStore(simple_db.entities, simple_db.relations,
-                               rng.normal(size=(len(simple_db.entities), 2)))
-        path = tmp_path / "m.rfm"
-        save_model(store, path, compact=True)
-        loaded = load_model(path)
-        assert np.allclose(loaded.vectors, store.vectors, atol=1e-7)
