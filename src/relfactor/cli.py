@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -27,12 +26,6 @@ from .schema import (Database, Manifest, build_database, format_manifest,
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
-
-
-@dataclass
-class CommandOutcome:
-    files_written: list[str] = field(default_factory=list)
-    summary: str = ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,22 +74,14 @@ def _load_database(schema_path: str, data_dir: str) -> Database:
     return build_database(manifest, stream(), census=census)
 
 
-def _write_database(db: Database, out_dir: str | os.PathLike) -> list[str]:
+def _write_database(db: Database, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    manifest_path = out / "manifest.txt"
-    _write_atomic(manifest_path, format_manifest(db.manifest))
-    written.append(str(manifest_path))
-    census_path = out / "entities.tsv"
-    _write_atomic(census_path, "".join(f"{e.type}\t{e.id}\n" for e in db.entities))
-    written.append(str(census_path))
+    _write_atomic(out / "manifest.txt", format_manifest(db.manifest))
+    _write_atomic(out / "entities.tsv", "".join(f"{e.type}\t{e.id}\n" for e in db.entities))
     for name, rel in db.relations.items():
         lines = [format_tuple_line(rel, e1, e2, y) for _, e1, e2, y in db.iter_tuples(name)]
-        path = out / f"{name}.tsv"
-        _write_atomic(path, "".join(line + "\n" for line in lines))
-        written.append(str(path))
-    return written
+        _write_atomic(out / f"{name}.tsv", "".join(line + "\n" for line in lines))
 
 
 def _parse_entity_ref(ref: str) -> tuple[str, str]:
@@ -108,19 +93,18 @@ def _parse_entity_ref(ref: str) -> tuple[str, str]:
 
 # --- subcommand handlers ------------------------------------------------------
 
-def _cmd_synth(args) -> CommandOutcome:
+def _cmd_synth(args) -> str:
     spec = SynthSpec(n_users=args.users, n_items=args.items,
                      n_categories=args.categories, k_true=args.k_true,
                      noise=args.noise, density=args.density,
                      c_density=args.c_density, seed=args.seed)
     db = generate_planted(spec)
-    written = _write_database(db, args.out)
+    _write_database(db, args.out)
     counts = ", ".join(f"{name}={db.tuple_count(name)}" for name in db.relations)
-    return CommandOutcome(written,
-                          f"synthesized {len(db.entities)} entities; tuples: {counts}")
+    return f"synthesized {len(db.entities)} entities; tuples: {counts}"
 
 
-def _cmd_ingest(args) -> CommandOutcome:
+def _cmd_ingest(args) -> str:
     manifest = load_manifest(args.schema)
     config = PreprocessConfig(min_word_reviews=args.min_word_reviews,
                               min_category_entities=args.min_category_entities,
@@ -171,11 +155,10 @@ def _cmd_ingest(args) -> CommandOutcome:
     out.mkdir(parents=True, exist_ok=True)
     for path, text in queued:
         _write_atomic(path, text)
-    return CommandOutcome([str(path) for path, _ in queued],
-                          f"wrote {len(queued)} tuple stream(s) to {out}")
+    return f"wrote {len(queued)} tuple stream(s) to {out}"
 
 
-def _cmd_split(args) -> CommandOutcome:
+def _cmd_split(args) -> str:
     db = _load_database(args.schema, args.data)
     mode = args.mode.replace("-", "_")
     spec = SplitSpec(mode=mode, target_relation=args.target,
@@ -189,30 +172,24 @@ def _cmd_split(args) -> CommandOutcome:
         cold = None
     else:
         train_db, val, test, cold = split_cold_start(db, spec)
-    written = _write_database(train_db, out / "train")
+    _write_database(train_db, out / "train")
 
     def cells_text(cells):
         return "".join(f"{r}\t{a}\t{b}\t{y}\n" for r, a, b, y in cells)
 
-    val_path = out / "validation.tsv"
-    _write_atomic(val_path, cells_text(val))
-    written.append(str(val_path))
-    test_path = out / "test.tsv"
-    _write_atomic(test_path, cells_text(test))
-    written.append(str(test_path))
+    _write_atomic(out / "validation.tsv", cells_text(val))
+    _write_atomic(out / "test.tsv", cells_text(test))
     if cold is not None:
-        cold_path = out / "cold_entities.txt"
-        _write_atomic(cold_path, "".join(f"{e.type}:{e.id}\n" for e in cold))
-        written.append(str(cold_path))
+        _write_atomic(out / "cold_entities.txt", "".join(f"{e.type}:{e.id}\n" for e in cold))
     summary = (f"{mode} split of {args.target}: "
                f"{train_db.tuple_count(args.target)} train, {len(val)} validation, "
                f"{len(test)} test tuples")
     if cold is not None:
         summary += f", {len(cold)} cold entities"
-    return CommandOutcome(written, summary)
+    return summary
 
 
-def _cmd_train(args) -> CommandOutcome:
+def _cmd_train(args) -> str:
     db = _load_database(args.schema, args.data)
     config = TrainConfig(k=args.k, relations=args.relations.split(","),
                          lam=args.lam, gamma=args.gamma, epochs=args.epochs,
@@ -224,40 +201,34 @@ def _cmd_train(args) -> CommandOutcome:
     store, log = train(db, config, validation=validation)
     with _atomic_path(args.out) as tmp:
         save_model(store, tmp)
-    written = [args.out]
     if args.log:
         _write_atomic(args.log, log.to_tsv())
-        written.append(args.log)
     last = log.entries[-1]
     summary = f"trained {config.epochs} epochs; final objective {last.objective:.4f}"
     if validation is not None:
         best = max(e.val_f1 for e in log.entries)
         summary += f"; best validation F1 {best:.4f}"
-    return CommandOutcome(written, summary)
+    return summary
 
 
-def _cmd_evaluate(args) -> CommandOutcome:
+def _cmd_evaluate(args) -> str:
     store = load_model(args.model)
     manifest = Manifest(entity_types=list(store.entities.types),
                         relations=dict(store.relations))
     test = list(read_tuple_stream(args.test, manifest))
     report = evaluate(store, test, threshold=args.threshold)
-    written = []
     if args.report:
         _write_atomic(args.report, report.to_tsv())
-        written.append(args.report)
     if args.pr_out:
         text = "".join(f"{p:.6f}\t{r:.6f}\t{t:.6g}\n" for p, r, t in report.pr_points)
         _write_atomic(args.pr_out, text)
-        written.append(args.pr_out)
     pooled = report.pooled
-    summary = (f"{len(test)} cells @ threshold {args.threshold}: "
-               f"precision {pooled.precision:.4f}, recall {pooled.recall:.4f}, "
-               f"F1 {pooled.f1:.4f}")
-    return CommandOutcome(written, summary)
+    return (f"{len(test)} cells @ threshold {args.threshold}: "
+            f"precision {pooled.precision:.4f}, recall {pooled.recall:.4f}, "
+            f"F1 {pooled.f1:.4f}")
 
 
-def _cmd_predict(args) -> CommandOutcome:
+def _cmd_predict(args) -> str:
     store = load_model(args.model)
     lines = []
     scored = []  # positions in lines of the pairs that resolved
@@ -284,38 +255,36 @@ def _cmd_predict(args) -> CommandOutcome:
     summary = f"scored {len(scored)} pairs"
     if errors:
         summary += f" ({errors} rows with unknown entities)"
-    return CommandOutcome([args.out], summary)
+    return summary
 
 
-def _cmd_nn(args) -> CommandOutcome:
+def _cmd_nn(args) -> str:
     store = load_model(args.model)
     etype, eid = _parse_entity_ref(args.entity)
     result = nearest_neighbors(store, etype, eid, args.n, metric=args.metric,
                                type_filter=args.type)
     body = "".join(f"{e.type}:{e.id}\t{s:.6f}\n" for e, s in result.neighbors)
     sys.stdout.write(body)
-    return CommandOutcome([], f"{len(result.neighbors)} neighbors of {args.entity} "
-                              f"by {args.metric}")
+    return f"{len(result.neighbors)} neighbors of {args.entity} by {args.metric}"
 
 
-def _cmd_project(args) -> CommandOutcome:
+def _cmd_project(args) -> str:
     store = load_model(args.model)
     subset = [_parse_entity_ref(ref.strip()) for _, (ref,) in read_rows(args.entities, 1, 1)]
     coords = project_2d(store, subset)
     text = "".join(f"{e.type}:{e.id}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
     _write_atomic(args.out, text)
-    return CommandOutcome([args.out], f"projected {len(coords)} entities to 2-D")
+    return f"projected {len(coords)} entities to 2-D"
 
 
-def _cmd_export_vectors(args) -> CommandOutcome:
+def _cmd_export_vectors(args) -> str:
     store = load_model(args.model)
     rows = []
     for ent in store.entities:
         coords = "\t".join(format(c, ".17g") for c in store.vectors[ent.index])
         rows.append(f"{ent.type}:{ent.id}\t{coords}")
     _write_atomic(args.out, "".join(r + "\n" for r in rows))
-    return CommandOutcome([args.out],
-                          f"exported {len(rows)} vectors of dimension {store.k}")
+    return f"exported {len(rows)} vectors of dimension {store.k}"
 
 
 # --- parser -------------------------------------------------------------------
@@ -436,15 +405,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        outcome: CommandOutcome = args.func(args)
+        summary = args.func(args)
     except DivergenceError as exc:
         print(f"relfactor: divergence: {exc}", file=sys.stderr)
         return 3
     except (DataError, OSError) as exc:
         print(f"relfactor: error: {exc}", file=sys.stderr)
         return 2
-    if outcome.summary:
-        print(outcome.summary)
+    print(summary)
     return 0
 
 

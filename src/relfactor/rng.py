@@ -17,9 +17,3 @@ def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
     key = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, key, *indices]))
 
-
-def substream_seed(seed: int, name: str, *indices: int) -> int:
-    """Stable integer identifying the substream (recorded in train logs)."""
-    key = zlib.crc32(name.encode("utf-8"))
-    seq = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, key, *indices])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])

@@ -1,5 +1,5 @@
 """SGD training of the embedding store over shuffled database tuples plus
-per-epoch negative samples.
+per-epoch sampled cells, held as int64 columns (rel_id, row, col, label).
 
 Update rule per example (simultaneous, both sides read pre-step values):
     e = y - sigmoid(v1 . v2 [+ b1 + b2 + g])
@@ -7,14 +7,14 @@ Update rule per example (simultaneous, both sides read pre-step values):
     v2 += gamma * (e * v1 - lam * v2)
     b1 += gamma * (e - lam * b1); b2 += gamma * (e - lam * b2); g += gamma * e
 
-Negative samples for positives_only relations are drawn uniformly over the
-relation's row/col entity populations, rejecting observed positives, at
-neg_ratio parity with the observed positive count. Fully-observed relations
-contribute sampled cells labeled by lookup (unobserved = 0) without rejection.
+Each epoch, every positives_only and fully_observed relation adds
+round(neg_ratio * positives) uniform cells (see ``_draw_cells``): distinct
+negatives for positives_only, labels by lookup for fully_observed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -25,11 +25,12 @@ from .errors import DataError, DivergenceError
 from .evaluation import ConfusionCounts
 from .model import (EmbeddingStore, init_embeddings, log_likelihood, resolve_cells,
                     score_cells, sigmoid)
-from .rng import substream, substream_seed
+from .rng import substream
 from .schema import Database, LabeledCell
 
 _DIVERGENCE_LIMIT = 1e6
 _REJECTION_CAP = 100
+_SENTINEL_KEY = np.iinfo(np.int64).max  # above every cell key; ends each sorted key array
 
 
 @dataclass
@@ -49,14 +50,19 @@ class TrainConfig:
             raise DataError("k must be >= 1")
         if not self.relations:
             raise DataError("relation subset must be nonempty")
-        if self.lam < 0:
-            raise DataError("lambda must be nonnegative")
-        if self.gamma <= 0:
-            raise DataError("learning rate gamma must be positive")
+        if len(set(self.relations)) != len(self.relations):
+            raise DataError(f"relation subset repeats a name: {','.join(self.relations)}")
+        # chained comparisons are false for NaN, so these also reject it
+        if not 0 <= self.lam < math.inf:
+            raise DataError("lambda must be finite and nonnegative")
+        if not 0 < self.gamma < math.inf:
+            raise DataError("learning rate gamma must be finite and positive")
         if self.epochs < 1:
             raise DataError("epoch count must be >= 1")
-        if self.neg_ratio <= 0:
-            raise DataError("neg_ratio must be positive")
+        if not 0 < self.neg_ratio < math.inf:
+            raise DataError("neg_ratio must be finite and positive")
+        if not 0 < self.init_scale < math.inf:
+            raise DataError("init_scale must be finite and positive")
 
 
 @dataclass
@@ -65,7 +71,6 @@ class EpochLogEntry:
     objective: float
     val_f1: Optional[float]
     seconds: float
-    epoch_seed: int
     negatives_sampled: dict[str, int] = field(default_factory=dict)
     degenerate_sampling: bool = False
     val_negative_collisions: int = 0
@@ -119,65 +124,65 @@ def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
         )
 
 
-def sample_negatives(db: Database, relation: str, count: int,
-                     rng: np.random.Generator) -> tuple[list[tuple[int, int]], bool]:
-    """Draw ``count`` negative cells for a positives_only relation.
+def _draw_cells(db: Database, relation: str, count: int, rng: np.random.Generator,
+                reject: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Draw ``count`` cells uniformly over a relation's row/col entity
+    populations; returns (keys, labels, degenerate), with each cell keyed as
+    ``row * len(db.entities) + col`` of global entity indices.
 
-    Cells are (row, col) global entity indices, uniform over the relation's
-    row/col populations; observed positives and already-chosen cells are
-    rejection-resampled up to a cap of 100 attempts per draw, after which the
-    last candidate is accepted regardless (degenerate flag set). The returned
-    count always equals ``count``.
+    With ``reject``, cells that are observed positives, accepted in an earlier
+    round or repeats within their round are redrawn together, for up to 100
+    rounds; any still rejected are kept and ``degenerate`` is set. Labels are
+    then 0. Without ``reject``, cells are labeled by lookup (stored, else 0).
     """
     rel = db.relation(relation)
-    if not rel.positives_only:
+    rows = np.array([e.index for e in db.entities.of_type(rel.row_type)], dtype=np.int64)
+    cols = np.array([e.index for e in db.entities.of_type(rel.col_type)], dtype=np.int64)
+    if not len(rows) or not len(cols):
+        raise DataError(f"relation {relation}: empty row or column entity population")
+    if not 0 <= count <= len(rows) * len(cols):
+        raise DataError(f"relation {relation}: cannot sample {count} of its "
+                        f"{len(rows)} x {len(cols)} cells")
+    n = len(db.entities)
+    stored = db.cells(relation)
+    stored_keys = np.fromiter((i * n + j for i, j in stored), dtype=np.int64, count=len(stored))
+    by_key = np.argsort(stored_keys)
+    taken = np.append(stored_keys[by_key], _SENTINEL_KEY)
+
+    def draw(size: int) -> np.ndarray:
+        # row indices are drawn before column indices; seeded runs rely on it
+        return (rows[rng.integers(0, len(rows), size=size)] * n
+                + cols[rng.integers(0, len(cols), size=size)])
+
+    keys = draw(count)
+    if not reject:
+        at = np.searchsorted(taken, keys)
+        labels = np.fromiter(stored.values(), dtype=np.int64, count=len(stored))[by_key]
+        return keys, np.where(taken[at] == keys, np.append(labels, 0)[at], 0), False
+    pending = np.arange(count)
+    for attempt in range(1, _REJECTION_CAP + 1):
+        candidates = keys[pending]
+        accepted = np.zeros(len(pending), dtype=bool)
+        accepted[np.unique(candidates, return_index=True)[1]] = True
+        accepted &= taken[np.searchsorted(taken, candidates)] != candidates
+        fresh = np.sort(candidates[accepted])
+        taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
+        pending = pending[~accepted]
+        if not len(pending) or attempt == _REJECTION_CAP:
+            break
+        keys[pending] = draw(len(pending))
+    return keys, np.zeros(count, dtype=np.int64), len(pending) > 0
+
+
+def sample_negatives(db: Database, relation: str, count: int,
+                     rng: np.random.Generator) -> tuple[list[tuple[int, int]], bool]:
+    """``count`` negative (row, col) global-index cells of a positives_only
+    relation, rejected as in ``_draw_cells``, and the degenerate flag."""
+    if not db.relation(relation).positives_only:
         raise DataError(f"relation {relation} is not positives_only")
-    rows = db.entities.of_type(rel.row_type)
-    cols = db.entities.of_type(rel.col_type)
-    if not rows or not cols:
-        raise DataError(f"relation {relation}: empty row or column entity population")
-    if count < 0:
-        raise DataError("negative sample count must be >= 0")
-    positives = db.cells(relation)
-    row_index = np.array([e.index for e in rows], dtype=np.int64)
-    col_index = np.array([e.index for e in cols], dtype=np.int64)
-    # first attempt for every draw is batched; rejections retry individually
-    first_r = row_index[rng.integers(0, len(row_index), size=count)]
-    first_c = col_index[rng.integers(0, len(col_index), size=count)]
-    chosen: list[tuple[int, int]] = []
-    chosen_set: set[tuple[int, int]] = set()
-    degenerate = False
-    for d in range(count):
-        cell = (int(first_r[d]), int(first_c[d]))
-        accepted = cell not in positives and cell not in chosen_set
-        attempts = 1
-        while not accepted and attempts < _REJECTION_CAP:
-            cell = (
-                int(row_index[rng.integers(0, len(row_index))]),
-                int(col_index[rng.integers(0, len(col_index))]),
-            )
-            accepted = cell not in positives and cell not in chosen_set
-            attempts += 1
-        if not accepted:
-            degenerate = True
-        chosen.append(cell)
-        chosen_set.add(cell)
-    return chosen, degenerate
-
-
-def _sample_fully_observed(db: Database, relation: str, count: int,
-                           rng: np.random.Generator) -> list[tuple[int, int, int]]:
-    """Uniform cells of a fully_observed relation, labeled by lookup
-    (stored label when observed, else 0); no rejection."""
-    rel = db.relation(relation)
-    rows = db.entities.of_type(rel.row_type)
-    cols = db.entities.of_type(rel.col_type)
-    if not rows or not cols:
-        raise DataError(f"relation {relation}: empty row or column entity population")
-    cells = db.cells(relation)
-    ri = np.array([e.index for e in rows], dtype=np.int64)[rng.integers(0, len(rows), size=count)]
-    ci = np.array([e.index for e in cols], dtype=np.int64)[rng.integers(0, len(cols), size=count)]
-    return [(int(i), int(j), cells.get((int(i), int(j)), 0)) for i, j in zip(ri, ci)]
+    keys, _, degenerate = _draw_cells(db, relation, count, rng, reject=True)
+    rows, cols = np.divmod(keys, len(db.entities))
+    return list(zip(rows.tolist(), cols.tolist())), degenerate
 
 
 def train(db: Database, config: TrainConfig,
@@ -188,31 +193,26 @@ def train(db: Database, config: TrainConfig,
     highest validation F1 are retained (checkpoint-best). Training is
     bit-reproducible for a fixed (db, config).
     """
-    for name in config.relations:
-        db.relation(name)
+    names = list(config.relations)
+    rels = [db.relation(name) for name in names]
+    n = len(db.entities)
 
-    observed: list[tuple[str, int, int, int]] = []
-    for name in config.relations:
-        for (i, j), y in db.cells(name).items():
-            observed.append((name, i, j, y))
-    if not observed:
+    observed = np.fromiter(((rel_id, i, j, y) for rel_id, name in enumerate(names)
+                            for (i, j), y in db.cells(name).items()),
+                           dtype=np.dtype((np.int64, 4))).T  # rows: rel_id, row, col, label
+    if not observed.shape[1]:
         raise DataError("empty training set")
+    pos_counts = np.bincount(observed[0][observed[3] == 1], minlength=len(names)).tolist()
 
     store = init_embeddings(db, config.k, config.seed, config.init_scale,
                             enable_biases=config.enable_biases)
     vectors, biases, offsets = store.vectors, store.biases, store.offsets
 
-    val_positive_cells: set[tuple[int, int]] = set()
+    val_positive_keys = np.empty(0, dtype=np.int64)
     if validation is not None:
         val_names, val_rows, val_cols, val_labels = resolve_cells(store, validation)
-        val_positive_cells = {
-            (int(r), int(c)) for r, c, y in zip(val_rows, val_cols, val_labels) if y == 1
-        }
-
-    pos_counts = {
-        name: sum(1 for y in db.cells(name).values() if y == 1)
-        for name in config.relations
-    }
+        positive = val_labels == 1
+        val_positive_keys = val_rows[positive] * n + val_cols[positive]
 
     log = TrainLog()
     best_f1 = -1.0
@@ -220,52 +220,45 @@ def train(db: Database, config: TrainConfig,
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        examples = list(observed)
+        blocks = [observed]
         neg_counts: dict[str, int] = {}
         degenerate = False
         val_collisions = 0
-        epoch_negatives: list[tuple[str, int, int]] = []
-        for pos, name in enumerate(config.relations):
-            rel = db.relation(name)
-            rng = substream(config.seed, "negatives", epoch, pos)
+        epoch_negatives: list[tuple[str, np.ndarray]] = []  # (name, keys)
+        for rel_id, (name, rel) in enumerate(zip(names, rels)):
+            if not (rel.positives_only or rel.fully_observed):
+                continue
+            count = int(round(config.neg_ratio * pos_counts[rel_id]))
+            rng = substream(config.seed, "negatives", epoch, rel_id)
+            keys, labels, degen = _draw_cells(db, name, count, rng, reject=rel.positives_only)
+            degenerate = degenerate or degen
+            neg_counts[name] = count
+            blocks.append(np.stack([np.full(count, rel_id), *np.divmod(keys, n), labels]))
             if rel.positives_only:
-                count = int(round(config.neg_ratio * pos_counts[name]))
-                cells, degen = sample_negatives(db, name, count, rng)
-                degenerate = degenerate or degen
-                neg_counts[name] = len(cells)
-                for (i, j) in cells:
-                    examples.append((name, i, j, 0))
-                    epoch_negatives.append((name, i, j))
-                    if (i, j) in val_positive_cells:
-                        val_collisions += 1
-            elif rel.fully_observed:
-                count = int(round(config.neg_ratio * pos_counts[name]))
-                sampled = _sample_fully_observed(db, name, count, rng)
-                neg_counts[name] = len(sampled)
-                for (i, j, y) in sampled:
-                    examples.append((name, i, j, y))
-                    if y == 0:
-                        epoch_negatives.append((name, i, j))
+                val_collisions += int(np.count_nonzero(np.isin(keys, val_positive_keys)))
+            epoch_negatives.append((name, keys[labels == 0]))
 
-        shuffle_rng = substream(config.seed, "shuffle", epoch)
-        order = shuffle_rng.permutation(len(examples))
+        examples = np.concatenate(blocks, axis=1)
+        order = substream(config.seed, "shuffle", epoch).permutation(examples.shape[1])
+        rel_ids, rows, cols, labels = examples[:, order].tolist()
+        del examples, order, blocks
 
         gamma, lam = config.gamma, config.lam
-        for t in order:
-            name, i, j, y = examples[t]
-            e = _apply_update(vectors, biases, offsets, name, i, j,
-                              float(y), gamma, lam)
+        for r, i, j, y in zip(rel_ids, rows, cols, labels):
+            e = _apply_update(vectors, biases, offsets, names[r], i, j, float(y), gamma, lam)
             if e != e:  # NaN residual: parameters went non-finite
-                raise DivergenceError(
-                    f"non-finite parameters at epoch {epoch} on {name} cell ({i},{j})"
-                )
+                raise DivergenceError(f"non-finite parameters at epoch {epoch} "
+                                      f"on {names[r]} cell ({i},{j})")
+        del rel_ids, rows, cols, labels  # free the epoch before the objective
 
         if not np.all(np.isfinite(vectors)) or np.abs(vectors).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"parameter magnitude exceeded {_DIVERGENCE_LIMIT:g} "
                                   f"at epoch {epoch}")
 
-        objective = log_likelihood(store, db, config.relations, config.lam,
-                                   sampled_negatives=epoch_negatives)
+        objective = log_likelihood(
+            store, db, names, config.lam,
+            sampled_negatives=((name, *divmod(key, n)) for name, keys in epoch_negatives
+                               for key in keys.tolist()))
         val_f1 = None
         if validation is not None:
             preds = score_cells(store, val_names, val_rows, val_cols) >= 0.0  # sigmoid >= 0.5
@@ -283,7 +276,6 @@ def train(db: Database, config: TrainConfig,
             objective=objective,
             val_f1=val_f1,
             seconds=time.perf_counter() - t0,
-            epoch_seed=substream_seed(config.seed, "shuffle", epoch),
             negatives_sampled=neg_counts,
             degenerate_sampling=degenerate,
             val_negative_collisions=val_collisions,

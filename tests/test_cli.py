@@ -139,6 +139,25 @@ class TestTrainCli:
                    "--gamma", "100000", "--lambda", "0", "--init-scale", "1.0",
                    "--seed", "1", "--out", str(tmp_path / "m.rfm")) == 3
 
+    @pytest.mark.parametrize("option", [
+        ("--neg-ratio", "1e12"), ("--neg-ratio", "inf"), ("--neg-ratio", "nan"),
+        ("--init-scale", "nan"), ("--init-scale", "inf"), ("--gamma", "nan"),
+        ("--lambda", "inf"), ("--relations", "R,R,C"),
+    ], ids=lambda option: " ".join(option))
+    def test_bad_option_is_data_error(self, option, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--users", "20", "--items", "20", "--categories", "4",
+                   "--seed", "2", "--out", str(data)) == 0
+        capsys.readouterr()
+        options = dict([("--relations", "R,C"), ("--k", "2"), ("--epochs", "2"), option])
+        model = tmp_path / "m.rfm"
+        assert run("train", "--data", str(data), "--schema", str(data / "manifest.txt"),
+                   *[part for pair in options.items() for part in pair],
+                   "--out", str(model)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relfactor: error: ")
+        assert not model.exists()
+
     def test_failed_train_leaves_no_model_file(self, split_dir, tmp_path):
         target = tmp_path / "m.rfm"
         run("train", "--data", str(split_dir / "train"),

@@ -76,14 +76,25 @@ class TestTokenizeReview:
         words = default_stopwords()
         assert "the" in words and len(words) > 100
 
+    @pytest.mark.parametrize("text,stems", [("HES", ["he"]), ("the the", [])])
+    def test_default_stopwords_filter_tokens_not_stems(self, text, stems):
+        # "hes" is no stopword, so its stem "he" is kept although "he" is one
+        cfg = PreprocessConfig(min_word_reviews=1, min_category_entities=1)
+        assert tokenize_review(text, cfg) == stems
+
     @given(st.text(max_size=200))
     @settings(max_examples=200)
     def test_output_clean(self, text):
+        # stopwords are dropped before stemming: every output stem comes from a
+        # token that is not a stopword, and every such token gives its stem
         cfg = PreprocessConfig(min_word_reviews=1, min_category_entities=1)
-        for tok in tokenize_review(text, cfg):
+        tokens = tokenize_review(text, config(stemmer="none"))
+        out = tokenize_review(text, cfg)
+        kept = [t for t in tokens if t not in cfg.stopword_list]
+        assert out == [stem for stem in map(cfg.stem, kept) if stem]
+        for tok in out:
             assert tok
             assert not any(ch.isdigit() for ch in tok)
-            assert tok not in cfg.stopword_list
 
 
 class TestPorterStem:

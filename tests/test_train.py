@@ -8,7 +8,7 @@ from relfactor.model import EmbeddingStore, sigmoid
 from relfactor.rng import substream
 from relfactor.schema import build_database, parse_manifest
 from relfactor.synth import SynthSpec, generate_planted
-from relfactor.train import TrainConfig, sample_negatives, sgd_step, train
+from relfactor.train import TrainConfig, _draw_cells, sample_negatives, sgd_step, train
 
 from conftest import RICH_MANIFEST
 
@@ -158,6 +158,39 @@ class TestSampleNegatives:
         a, _ = sample_negatives(db, "BW", 5, substream(9, "negatives"))
         b, _ = sample_negatives(db, "BW", 5, substream(9, "negatives"))
         assert a == b
+
+    def half_full_db(self):
+        # 5 000 items x 6 values with 3 values per item: 15 000 free cells
+        manifest = parse_manifest("type item\ntype value\nrelation A item value positives_only\n")
+        stream = [("A", f"i{i}", f"v{(i + j) % 6}", 1) for i in range(5000) for j in range(3)]
+        return build_database(manifest, stream)
+
+    def test_half_full_relation_gives_distinct_negatives(self):
+        db = self.half_full_db()
+        cells, degenerate = sample_negatives(db, "A", 3750, substream(1, "negatives"))
+        assert len(cells) == 3750 and len(set(cells)) == 3750 and not degenerate
+        assert not any(cell in db.cells("A") for cell in cells)
+
+    def test_every_free_cell_asked_for_is_degenerate(self):
+        db = self.half_full_db()
+        cells, degenerate = sample_negatives(db, "A", 15000, substream(1, "negatives"))
+        assert len(cells) == 15000 and degenerate
+
+    def test_count_above_cell_total_rejected(self):
+        with pytest.raises(DataError, match="cannot sample 17 of its 4 x 4 cells"):
+            sample_negatives(self.positives_db(), "BW", 17, substream(1, "negatives"))
+
+    def test_fully_observed_cells_labeled_by_lookup(self):
+        manifest = parse_manifest(RICH_MANIFEST)
+        stream = [("C", "b1", "c1", 1), ("C", "b2", "c1", 0), ("C", "b2", "c2", 1)]
+        census = [("business", "b1"), ("business", "b2")] + [("category", f"c{i}")
+                                                             for i in range(1, 4)]
+        db = build_database(manifest, stream, census=census)
+        keys, labels, degenerate = _draw_cells(db, "C", 6, substream(2, "negatives"),
+                                               reject=False)
+        n = len(db.entities)
+        assert labels.tolist() == [db.cells("C").get(divmod(key, n), 0) for key in keys.tolist()]
+        assert 1 in labels.tolist() and not degenerate
 
 
 class TestTrain:
