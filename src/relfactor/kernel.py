@@ -1,0 +1,172 @@
+"""Loader of the compiled SGD epoch kernel, ``kernel.c``.
+
+The kernel is compiled on first use, with sysconfig's CC or else ``cc`` or
+``gcc`` on PATH, and cached per user in ``$XDG_CACHE_HOME/relfactor`` (else
+``~/.cache/relfactor``), or else in a private directory under the system
+temp directory. The cached file is named by the sha256 of the source, the
+flags and the machine, so it is built once per machine and rebuilt when the
+source changes. A cache directory is used only when it is a directory owned
+by the current user that no one else can write to.
+
+``epoch_kernel()`` returns None when there is no compiler, the compile
+fails, no cache directory is usable or the library does not load; train()
+then runs the Python reference loop, which gives the same numbers.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import tempfile
+from importlib import resources
+from pathlib import Path
+from typing import Callable, Optional
+
+import numpy as np
+
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+COMPILE_TIMEOUT_S = 120
+CACHE_DIR: Optional[Path] = None  # when set, the only cache directory tried
+
+EpochKernel = Callable[..., int]
+
+
+# The compile path imports shlex, subprocess and sysconfig itself: a process
+# that loads the cached kernel then skips their ~7 ms of import time.
+
+def find_compiler() -> Optional[list[str]]:
+    """argv prefix of a C compiler: sysconfig's CC, else cc or gcc on PATH."""
+    import shlex
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if cc and shutil.which(cc[0]):
+        return cc
+    for name in ("cc", "gcc"):
+        path = shutil.which(name)
+        if path:
+            return [path]
+    return None
+
+
+def _private(directory: Path) -> bool:
+    """Whether directory is a real directory of ours that only we can write."""
+    try:
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = directory.lstat()
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+            and os.access(directory, os.W_OK))
+
+
+def cache_dir() -> Optional[Path]:
+    if CACHE_DIR is not None:
+        candidates = [Path(CACHE_DIR)]
+    else:
+        base = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(base):
+            base = os.path.join(os.path.expanduser("~"), ".cache")
+        candidates = [Path(base, "relfactor"),
+                      Path(tempfile.gettempdir(), f"relfactor-{os.getuid()}")]
+    return next((d for d in candidates if _private(d)), None)
+
+
+def _compile(cc: list[str], source: bytes, target: Path) -> bool:
+    """Build target from source; a unique temporary name is renamed into
+    place, so processes compiling at once each leave a whole file."""
+    import subprocess
+
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", dir=target.parent)
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        proc = subprocess.run([*cc, *FLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source,
+                              capture_output=True, timeout=COMPILE_TIMEOUT_S)
+        if proc.returncode == 0:
+            os.replace(tmp, target)
+        return proc.returncode == 0
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _open(path: Path) -> Optional[EpochKernel]:
+    try:
+        fn = ctypes.CDLL(str(path)).run_epoch
+    except (OSError, AttributeError):
+        return None
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, ptr]
+    fn.restype = i64
+
+    def run_epoch(vectors: np.ndarray, biases: Optional[np.ndarray],
+                  offsets: Optional[np.ndarray], rel: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray, labels: np.ndarray, gamma: float, lam: float) -> int:
+        """Same contract as train._python_epoch. The parameters are updated
+        in place, so they must be C-contiguous float64 already; every index
+        is checked before the kernel dereferences it."""
+        params = [a for a in (vectors, biases, offsets) if a is not None]
+        if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in params):
+            raise ValueError("parameters must be C-contiguous float64 arrays")
+        rel, rows, cols, labels = (np.ascontiguousarray(a, dtype=np.int64)
+                                   for a in (rel, rows, cols, labels))
+        n = len(rows)
+        if vectors.ndim != 2 or not len(rel) == len(cols) == len(labels) == n:
+            raise ValueError("mismatched parameter or column shapes")
+        if (biases is None) != (offsets is None) or (biases is not None
+                                                      and biases.shape != vectors.shape[:1]):
+            raise ValueError("biases and offsets must be given together, one bias per entity")
+        if n and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max())
+                      < len(vectors)):
+            raise ValueError("entity index out of range")
+        if n and offsets is not None and not 0 <= rel.min() <= rel.max() < len(offsets):
+            raise ValueError("relation id out of range")
+        k = vectors.shape[1]
+        scratch = np.empty(2 * k)
+        return fn(vectors.ctypes.data, k,
+                  None if biases is None else biases.ctypes.data,
+                  None if offsets is None else offsets.ctypes.data,
+                  rel.ctypes.data, rows.ctypes.data, cols.ctypes.data, labels.ctypes.data,
+                  n, gamma, lam, scratch.ctypes.data)
+    return run_epoch
+
+
+def load() -> Optional[EpochKernel]:
+    """The compiled kernel from the cache, compiling it if needed; None when
+    it cannot be had."""
+    if os.name != "posix":
+        return None
+    directory = cache_dir()
+    if directory is None:
+        return None
+    try:
+        source = resources.files("relfactor").joinpath("kernel.c").read_bytes()
+    except OSError:  # an install without the package data
+        return None
+    key = b"\0".join([source, " ".join(FLAGS).encode(), platform.machine().encode()])
+    path = directory / f"kernel-{hashlib.sha256(key).hexdigest()[:24]}.so"
+    if path.exists():
+        kernel = _open(path)
+        if kernel is not None:
+            return kernel
+    cc = find_compiler()
+    if cc is None or not _compile(cc, source, path):
+        return None
+    return _open(path)
+
+
+@functools.cache
+def epoch_kernel() -> Optional[EpochKernel]:
+    """load(), once per process."""
+    return load()

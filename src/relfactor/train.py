@@ -8,8 +8,15 @@ Update rule per example (simultaneous, both sides read pre-step values):
     b1 += gamma * (e - lam * b1); b2 += gamma * (e - lam * b2); g += gamma * e
 
 Each epoch, every positives_only and fully_observed relation adds
-round(neg_ratio * positives) uniform cells (see ``_draw_cells``): distinct
+round(neg_ratio * positives) uniform cells (see ``_CellPool.draw``): distinct
 negatives for positives_only, labels by lookup for fully_observed.
+
+The updates of one epoch run as one call into the compiled kernel of
+``kernel.c`` (see ``kernel.py``). ``_python_epoch`` over ``_apply_update`` is
+the reference it matches bit for bit, and the loop that runs when no
+compiler or cache directory is available; ``TrainLog.kernel`` names the one
+that ran. During an epoch the relation offsets live in a float64 array
+indexed by rel_id, written back to ``store.offsets`` after the epoch.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ import numpy as np
 
 from .errors import DataError, DivergenceError
 from .evaluation import ConfusionCounts
-from .model import (EmbeddingStore, init_embeddings, log_likelihood, resolve_cells,
-                    score_cells, sigmoid)
+from .kernel import epoch_kernel
+from .model import (EmbeddingStore, cell_columns, cells_log_likelihood, init_embeddings,
+                    resolve_cells, score_cells, sigmoid)
 from .rng import substream
 from .schema import Database, LabeledCell
 
@@ -79,6 +87,7 @@ class EpochLogEntry:
 @dataclass
 class TrainLog:
     entries: list[EpochLogEntry] = field(default_factory=list)
+    kernel: str = "python"  # the SGD loop that ran: "c" (compiled) or "python"
 
     def to_tsv(self) -> str:
         lines = ["epoch\tobjective\tval_f1\tseconds"]
@@ -89,14 +98,16 @@ class TrainLog:
 
 
 def _apply_update(vectors: np.ndarray, biases: Optional[np.ndarray],
-                  offsets: Optional[dict[str, float]], rel_name: str,
-                  i: int, j: int, y: float, gamma: float, lam: float) -> float:
-    """One SGD step on cell (i, j); returns the residual e = y - p."""
+                  offsets, rel, i: int, j: int, y: float, gamma: float, lam: float) -> float:
+    """One SGD step on cell (i, j); returns the residual e = y - p. offsets
+    is indexed by rel: a dict by relation name, or an array by rel_id."""
     v1 = vectors[i]
     v2 = vectors[j]
-    s = float(v1 @ v2)
+    s = 0.0
+    for a, b in zip(v1.tolist(), v2.tolist()):  # index order, as kernel.c sums
+        s += a * b
     if biases is not None:
-        s += float(biases[i]) + float(biases[j]) + offsets[rel_name]
+        s += float(biases[i]) + float(biases[j]) + float(offsets[rel])
     e = y - sigmoid(s)
     ge = gamma * e
     d1 = ge * v2 - (gamma * lam) * v1
@@ -107,8 +118,21 @@ def _apply_update(vectors: np.ndarray, biases: Optional[np.ndarray],
         bi, bj = float(biases[i]), float(biases[j])
         biases[i] = bi + gamma * (e - lam * bi)
         biases[j] = bj + gamma * (e - lam * bj)
-        offsets[rel_name] += ge
+        offsets[rel] += ge
     return e
+
+
+def _python_epoch(vectors: np.ndarray, biases: Optional[np.ndarray],
+                  offsets: Optional[np.ndarray], rel: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray, labels: np.ndarray, gamma: float, lam: float) -> int:
+    """The updates of one epoch in column order; returns the index of the
+    first example whose residual is NaN (after applying it), else -1."""
+    for t, (r, i, j, y) in enumerate(zip(rel.tolist(), rows.tolist(), cols.tolist(),
+                                         labels.tolist())):
+        e = _apply_update(vectors, biases, offsets, r, i, j, float(y), gamma, lam)
+        if e != e:
+            return t
+    return -1
 
 
 def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
@@ -124,63 +148,79 @@ def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
         )
 
 
-def _draw_cells(db: Database, relation: str, count: int, rng: np.random.Generator,
-                reject: bool) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Draw ``count`` cells uniformly over a relation's row/col entity
-    populations; returns (keys, labels, degenerate), with each cell keyed as
-    ``row * len(db.entities) + col`` of global entity indices.
+class _CellPool:
+    """A relation's row and column entity populations and its stored cells,
+    keyed as ``row * len(db.entities) + col`` of global entity indices and
+    sorted; resolved once per train() and drawn from every epoch."""
 
-    With ``reject``, cells that are observed positives, accepted in an earlier
-    round or repeats within their round are redrawn together, for up to 100
-    rounds; any still rejected are kept and ``degenerate`` is set. Labels are
-    then 0. Without ``reject``, cells are labeled by lookup (stored, else 0).
-    """
-    rel = db.relation(relation)
-    rows = np.array([e.index for e in db.entities.of_type(rel.row_type)], dtype=np.int64)
-    cols = np.array([e.index for e in db.entities.of_type(rel.col_type)], dtype=np.int64)
-    if not len(rows) or not len(cols):
-        raise DataError(f"relation {relation}: empty row or column entity population")
-    if not 0 <= count <= len(rows) * len(cols):
-        raise DataError(f"relation {relation}: cannot sample {count} of its "
-                        f"{len(rows)} x {len(cols)} cells")
-    n = len(db.entities)
-    stored = db.cells(relation)
-    stored_keys = np.fromiter((i * n + j for i, j in stored), dtype=np.int64, count=len(stored))
-    by_key = np.argsort(stored_keys)
-    taken = np.append(stored_keys[by_key], _SENTINEL_KEY)
+    def __init__(self, db: Database, relation: str):
+        rel = db.relation(relation)
+        self.name = relation
+        self.rows = np.array([e.index for e in db.entities.of_type(rel.row_type)], dtype=np.int64)
+        self.cols = np.array([e.index for e in db.entities.of_type(rel.col_type)], dtype=np.int64)
+        if not len(self.rows) or not len(self.cols):
+            raise DataError(f"relation {relation}: empty row or column entity population")
+        self.n = n = len(db.entities)
+        stored = db.cells(relation)
+        keys = np.fromiter((i * n + j for i, j in stored), dtype=np.int64, count=len(stored))
+        by_key = np.argsort(keys)
+        self.taken = np.append(keys[by_key], _SENTINEL_KEY)
+        labels = np.fromiter(stored.values(), dtype=np.int64, count=len(stored))
+        self.labels = np.append(labels[by_key], 0)
 
-    def draw(size: int) -> np.ndarray:
-        # row indices are drawn before column indices; seeded runs rely on it
-        return (rows[rng.integers(0, len(rows), size=size)] * n
-                + cols[rng.integers(0, len(cols), size=size)])
+    def draw(self, count: int, rng: np.random.Generator,
+             reject: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Draw ``count`` cells uniformly; returns (keys, labels, degenerate).
 
-    keys = draw(count)
-    if not reject:
-        at = np.searchsorted(taken, keys)
-        labels = np.fromiter(stored.values(), dtype=np.int64, count=len(stored))[by_key]
-        return keys, np.where(taken[at] == keys, np.append(labels, 0)[at], 0), False
-    pending = np.arange(count)
-    for attempt in range(1, _REJECTION_CAP + 1):
-        candidates = keys[pending]
-        accepted = np.zeros(len(pending), dtype=bool)
-        accepted[np.unique(candidates, return_index=True)[1]] = True
-        accepted &= taken[np.searchsorted(taken, candidates)] != candidates
-        fresh = np.sort(candidates[accepted])
-        taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
-        pending = pending[~accepted]
-        if not len(pending) or attempt == _REJECTION_CAP:
-            break
-        keys[pending] = draw(len(pending))
-    return keys, np.zeros(count, dtype=np.int64), len(pending) > 0
+        With ``reject``, cells that are stored, accepted in an earlier round
+        or repeats within their round are redrawn together, for up to 100
+        rounds. Slots still pending then are filled without replacement from
+        the free cells left; only when there are fewer of those than slots
+        is the remainder kept as drawn and ``degenerate`` set. Labels are
+        then 0. Without ``reject``, cells are labeled by lookup (stored, else 0).
+        """
+        rows, cols, n = self.rows, self.cols, self.n
+        if not 0 <= count <= len(rows) * len(cols):
+            raise DataError(f"relation {self.name}: cannot sample {count} of its "
+                            f"{len(rows)} x {len(cols)} cells")
+
+        def draw(size: int) -> np.ndarray:
+            # row indices are drawn before column indices; seeded runs rely on it
+            return (rows[rng.integers(0, len(rows), size=size)] * n
+                    + cols[rng.integers(0, len(cols), size=size)])
+
+        keys = draw(count)
+        taken = self.taken
+        if not reject:
+            at = np.searchsorted(taken, keys)
+            return keys, np.where(taken[at] == keys, self.labels[at], 0), False
+        pending = np.arange(count)
+        for attempt in range(1, _REJECTION_CAP + 1):
+            candidates = keys[pending]
+            accepted = np.zeros(len(pending), dtype=bool)
+            accepted[np.unique(candidates, return_index=True)[1]] = True
+            accepted &= taken[np.searchsorted(taken, candidates)] != candidates
+            fresh = np.sort(candidates[accepted])
+            taken = np.insert(taken, np.searchsorted(taken, fresh), fresh)
+            pending = pending[~accepted]
+            if not len(pending) or attempt == _REJECTION_CAP:
+                break
+            keys[pending] = draw(len(pending))
+        if len(pending):
+            free = np.setdiff1d((rows[:, None] * n + cols).ravel(), taken, assume_unique=True)
+            fill = rng.choice(free, size=min(len(free), len(pending)), replace=False)
+            keys[pending[:len(fill)]] = fill
+            pending = pending[len(fill):]
+        return keys, np.zeros(count, dtype=np.int64), len(pending) > 0
 
 
 def sample_negatives(db: Database, relation: str, count: int,
                      rng: np.random.Generator) -> tuple[list[tuple[int, int]], bool]:
     """``count`` negative (row, col) global-index cells of a positives_only
-    relation, rejected as in ``_draw_cells``, and the degenerate flag."""
+    relation, rejected as in ``_CellPool.draw``, and the degenerate flag."""
     if not db.relation(relation).positives_only:
         raise DataError(f"relation {relation} is not positives_only")
-    keys, _, degenerate = _draw_cells(db, relation, count, rng, reject=True)
+    keys, _, degenerate = _CellPool(db, relation).draw(count, rng, reject=True)
     rows, cols = np.divmod(keys, len(db.entities))
     return list(zip(rows.tolist(), cols.tolist())), degenerate
 
@@ -191,22 +231,22 @@ def train(db: Database, config: TrainConfig,
 
     With a validation set attached, the parameters from the epoch with the
     highest validation F1 are retained (checkpoint-best). Training is
-    bit-reproducible for a fixed (db, config).
+    bit-reproducible for a fixed (db, config), and the same whichever kernel
+    runs the updates.
     """
     names = list(config.relations)
     rels = [db.relation(name) for name in names]
     n = len(db.entities)
 
-    observed = np.fromiter(((rel_id, i, j, y) for rel_id, name in enumerate(names)
-                            for (i, j), y in db.cells(name).items()),
-                           dtype=np.dtype((np.int64, 4))).T  # rows: rel_id, row, col, label
+    observed = cell_columns(db, names)  # rows: rel_id, row, col, label
     if not observed.shape[1]:
         raise DataError("empty training set")
     pos_counts = np.bincount(observed[0][observed[3] == 1], minlength=len(names)).tolist()
 
     store = init_embeddings(db, config.k, config.seed, config.init_scale,
                             enable_biases=config.enable_biases)
-    vectors, biases, offsets = store.vectors, store.biases, store.offsets
+    vectors, biases = store.vectors, store.biases
+    offsets = None if biases is None else np.array([store.offsets[name] for name in names])
 
     val_positive_keys = np.empty(0, dtype=np.int64)
     if validation is not None:
@@ -214,7 +254,11 @@ def train(db: Database, config: TrainConfig,
         positive = val_labels == 1
         val_positive_keys = val_rows[positive] * n + val_cols[positive]
 
-    log = TrainLog()
+    pools = {rel_id: _CellPool(db, name) for rel_id, (name, rel) in enumerate(zip(names, rels))
+             if rel.positives_only or rel.fully_observed}
+    kernel = epoch_kernel()
+    run_epoch = kernel or _python_epoch
+    log = TrainLog(kernel="python" if kernel is None else "c")
     best_f1 = -1.0
     best_params = None
 
@@ -224,41 +268,36 @@ def train(db: Database, config: TrainConfig,
         neg_counts: dict[str, int] = {}
         degenerate = False
         val_collisions = 0
-        epoch_negatives: list[tuple[str, np.ndarray]] = []  # (name, keys)
-        for rel_id, (name, rel) in enumerate(zip(names, rels)):
-            if not (rel.positives_only or rel.fully_observed):
-                continue
+        for rel_id, pool in pools.items():
+            positives_only = rels[rel_id].positives_only
             count = int(round(config.neg_ratio * pos_counts[rel_id]))
             rng = substream(config.seed, "negatives", epoch, rel_id)
-            keys, labels, degen = _draw_cells(db, name, count, rng, reject=rel.positives_only)
+            keys, labels, degen = pool.draw(count, rng, reject=positives_only)
             degenerate = degenerate or degen
-            neg_counts[name] = count
+            neg_counts[pool.name] = count
             blocks.append(np.stack([np.full(count, rel_id), *np.divmod(keys, n), labels]))
-            if rel.positives_only:
+            if positives_only:
                 val_collisions += int(np.count_nonzero(np.isin(keys, val_positive_keys)))
-            epoch_negatives.append((name, keys[labels == 0]))
 
         examples = np.concatenate(blocks, axis=1)
         order = substream(config.seed, "shuffle", epoch).permutation(examples.shape[1])
-        rel_ids, rows, cols, labels = examples[:, order].tolist()
-        del examples, order, blocks
-
-        gamma, lam = config.gamma, config.lam
-        for r, i, j, y in zip(rel_ids, rows, cols, labels):
-            e = _apply_update(vectors, biases, offsets, names[r], i, j, float(y), gamma, lam)
-            if e != e:  # NaN residual: parameters went non-finite
-                raise DivergenceError(f"non-finite parameters at epoch {epoch} "
-                                      f"on {names[r]} cell ({i},{j})")
-        del rel_ids, rows, cols, labels  # free the epoch before the objective
+        rel_ids, rows, cols, labels = examples.take(order, axis=1)
+        bad = run_epoch(vectors, biases, offsets, rel_ids, rows, cols, labels,
+                        config.gamma, config.lam)
+        if offsets is not None:
+            store.offsets.update(zip(names, offsets.tolist()))
+        if bad >= 0:  # NaN residual: parameters went non-finite
+            raise DivergenceError(f"non-finite parameters at epoch {epoch} "
+                                  f"on {names[rel_ids[bad]]} cell ({rows[bad]},{cols[bad]})")
+        del examples, order, rel_ids, rows, cols, labels  # free the epoch before the objective
 
         if not np.all(np.isfinite(vectors)) or np.abs(vectors).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"parameter magnitude exceeded {_DIVERGENCE_LIMIT:g} "
                                   f"at epoch {epoch}")
 
-        objective = log_likelihood(
-            store, db, names, config.lam,
-            sampled_negatives=((name, *divmod(key, n)) for name, keys in epoch_negatives
-                               for key in keys.tolist()))
+        # observed cells, then each relation's sampled label-0 cells in draw order
+        objective = cells_log_likelihood(store, names, np.concatenate(
+            [observed, *(block[:, block[3] == 0] for block in blocks[1:])], axis=1), config.lam)
         val_f1 = None
         if validation is not None:
             preds = score_cells(store, val_names, val_rows, val_cols) >= 0.0  # sigmoid >= 0.5

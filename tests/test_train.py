@@ -8,7 +8,7 @@ from relfactor.model import EmbeddingStore, sigmoid
 from relfactor.rng import substream
 from relfactor.schema import build_database, parse_manifest
 from relfactor.synth import SynthSpec, generate_planted
-from relfactor.train import TrainConfig, _draw_cells, sample_negatives, sgd_step, train
+from relfactor.train import TrainConfig, _CellPool, sample_negatives, sgd_step, train
 
 from conftest import RICH_MANIFEST
 
@@ -171,10 +171,29 @@ class TestSampleNegatives:
         assert len(cells) == 3750 and len(set(cells)) == 3750 and not degenerate
         assert not any(cell in db.cells("A") for cell in cells)
 
-    def test_every_free_cell_asked_for_is_degenerate(self):
+    def test_every_free_cell_asked_for_is_served_exactly(self):
+        # 15 000 of 15 000 free cells can be served exactly, so this is not degenerate
         db = self.half_full_db()
         cells, degenerate = sample_negatives(db, "A", 15000, substream(1, "negatives"))
-        assert len(cells) == 15000 and degenerate
+        assert len(cells) == 15000 and len(set(cells)) == 15000 and not degenerate
+        assert not any(cell in db.cells("A") for cell in cells)
+
+    def test_nearly_every_free_cell_asked_for(self):
+        db = self.half_full_db()
+        cells, degenerate = sample_negatives(db, "A", 14000, substream(1, "negatives"))
+        assert len(cells) == 14000 and len(set(cells)) == 14000 and not degenerate
+        assert not any(cell in db.cells("A") for cell in cells)
+
+    def test_count_above_free_cells_returns_each_free_cell_once(self):
+        manifest = parse_manifest(RICH_MANIFEST)
+        stream = [("BW", "b1", f"w{j}", 1) for j in range(1, 5)]
+        stream += [("BW", "b2", "w1", 1), ("BW", "b2", "w2", 1)]
+        db = build_database(manifest, stream)
+        free = {(db.entities.get("business", "b2").index, db.entities.get("word", w).index)
+                for w in ("w3", "w4")}
+        cells, degenerate = sample_negatives(db, "BW", 6, substream(4, "negatives"))
+        assert len(cells) == 6 and degenerate
+        assert all(cells.count(cell) == 1 for cell in free)
 
     def test_count_above_cell_total_rejected(self):
         with pytest.raises(DataError, match="cannot sample 17 of its 4 x 4 cells"):
@@ -186,8 +205,8 @@ class TestSampleNegatives:
         census = [("business", "b1"), ("business", "b2")] + [("category", f"c{i}")
                                                              for i in range(1, 4)]
         db = build_database(manifest, stream, census=census)
-        keys, labels, degenerate = _draw_cells(db, "C", 6, substream(2, "negatives"),
-                                               reject=False)
+        keys, labels, degenerate = _CellPool(db, "C").draw(6, substream(2, "negatives"),
+                                                           reject=False)
         n = len(db.entities)
         assert labels.tolist() == [db.cells("C").get(divmod(key, n), 0) for key in keys.tolist()]
         assert 1 in labels.tolist() and not degenerate
