@@ -2,9 +2,11 @@
 into binary relational tuple streams.
 
 Pipeline for review text: lowercase, split into maximal alphanumeric runs,
-drop tokens containing digits, drop stopwords (before stemming), stem. A
-(entity, word) tuple is emitted when the word stem occurs in at least one of
-the entity's reviews and clears the global review-frequency threshold.
+drop tokens containing digits, drop stopwords (before stemming), stem. Each
+distinct token is filtered and stemmed once per config, which remembers the
+outcome for the rest of its run. A (entity, word) tuple is emitted when the
+word stem occurs in at least one of the entity's reviews and clears the global
+review-frequency threshold.
 """
 
 from __future__ import annotations
@@ -48,12 +50,16 @@ class RawReview:
     text: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     stopword_list: frozenset[str] = field(default_factory=default_stopwords)
     min_word_reviews: int = 10
     min_category_entities: int = 5
     stemmer: str = "porter"
+    # lowercase token -> the stem it contributes, or "" when it is dropped;
+    # frozen fields keep every entry valid for the config's lifetime
+    _stems: dict[str, str] = field(default_factory=dict, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if self.min_word_reviews < 1 or self.min_category_entities < 1:
@@ -80,19 +86,24 @@ def unwrap_attribute(name: str, value: str) -> str:
     return f"{name}({value})"
 
 
+def _token_stem(token: str, config: PreprocessConfig) -> str:
+    if _has_number(token) or token in config.stopword_list:
+        return ""
+    return config.stem(token)
+
+
 def tokenize_review(text: str, config: PreprocessConfig) -> list[str]:
     """Lowercased word stems of a review, in order, duplicates retained.
 
     Tokens containing digits are dropped entirely; stopwords are matched
     after lowercasing and before stemming.
     """
+    stems = config._stems
     out = []
     for token in _TOKEN_RE.findall(text.lower()):
-        if _has_number(token):
-            continue
-        if token in config.stopword_list:
-            continue
-        stem = config.stem(token)
+        stem = stems.get(token)
+        if stem is None:
+            stem = stems[token] = _token_stem(token, config)
         if stem:
             out.append(stem)
     return out
@@ -174,32 +185,18 @@ def resolve_rating_conflicts(ratings: Sequence[RawRating]) -> list[tuple[str, st
 
 # --- raw file formats ---------------------------------------------------------
 
+_ESCAPE_RE = re.compile(r"\\([tnr\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}
+
+
 def escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return (text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+            .replace("\r", "\\r"))
 
 
 def unescape_text(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    """Undo ``escape_text``; any other backslash passes through unchanged."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 def read_ratings(path: str | os.PathLike) -> list[RawRating]:
@@ -216,7 +213,7 @@ def read_ratings(path: str | os.PathLike) -> list[RawRating]:
 
 
 def read_reviews(path: str | os.PathLike) -> list[RawReview]:
-    """TSV: user_id, item_id, text (tabs/newlines escaped)."""
+    """TSV: user_id, item_id, text (tabs, newlines and carriage returns escaped)."""
     return [RawReview(p[0], p[1], unescape_text(p[2])) for _, p in read_rows(path, 3, 3)]
 
 

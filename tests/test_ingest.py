@@ -1,6 +1,12 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import dataclasses
+import re
+from collections import Counter
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from relfactor import ingest
+from relfactor.cli import main
 from relfactor.errors import DataError
 from relfactor.ingest import (PreprocessConfig, RawRating, RawReview,
                               binarize_rating, build_word_relations,
@@ -8,6 +14,8 @@ from relfactor.ingest import (PreprocessConfig, RawRating, RawReview,
                               read_reviews, resolve_rating_conflicts,
                               tokenize_review, unescape_text, unwrap_attribute)
 from relfactor.porter import porter_stem
+
+from conftest import RAW_INPUTS
 
 
 def config(**kwargs):
@@ -239,3 +247,81 @@ class TestRawFiles:
         assert unescape_text(escape_text(text)) == text
         assert "\t" not in escape_text(text)
         assert "\n" not in escape_text(text)
+        assert "\r" not in escape_text(text)
+
+    @given(st.lists(st.one_of(st.sampled_from(["\r", "\r\n", "\n", "\t", "\\", "r",
+                                               "\x85", "\u2028", "\x1c"]),
+                              st.characters(codec="utf-8")), max_size=40).map("".join))
+    @example("a\rb")
+    @example("a\r\nb\x85c\u2028d")
+    @settings(max_examples=200)
+    def test_review_file_roundtrip(self, tmp_path_factory, text):
+        # carriage returns would end the line early in a universal-newline
+        # reader, so escape_text must escape them like newlines
+        path = tmp_path_factory.mktemp("reviews") / "reviews.tsv"
+        path.write_bytes(f"u1\tb1\t{escape_text(text)}\n".encode("utf-8"))
+        assert read_reviews(path) == [RawReview("u1", "b1", text)]
+
+    @staticmethod
+    def unescape_by_loop(text):
+        # a per-character decoder, the reference for unescape_text's regex
+        out = []
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch == "\\" and i + 1 < len(text):
+                nxt = text[i + 1]
+                decoded = {"t": "\t", "n": "\n", "r": "\r", "\\": "\\"}.get(nxt)
+                if decoded is not None:
+                    out.append(decoded)
+                    i += 2
+                    continue
+            out.append(ch)
+            i += 1
+        return "".join(out)
+
+    @given(st.text(alphabet="\\tnqr\t\n x", max_size=60))
+    @example("\\")
+    @example("a\\q\\\\\\tb\\")
+    @settings(max_examples=300)
+    def test_unescape_matches_per_character_loop(self, text):
+        assert unescape_text(text) == self.unescape_by_loop(text)
+
+
+class TestTokenMemo:
+    def test_config_is_frozen(self):
+        cfg = config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stemmer = "none"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stopword_list = frozenset({"run"})
+
+    def test_configs_keep_their_own_results(self):
+        plain, stopping, unstemmed = (config(), config(stopword_list=frozenset({"running"})),
+                                      config(stemmer="none"))
+        for _ in range(2):
+            assert tokenize_review("Running running", plain) == ["run", "run"]
+            assert tokenize_review("Running running", stopping) == []
+            assert tokenize_review("Running running", unstemmed) == ["running", "running"]
+
+    def test_stems_each_distinct_kept_token_once_per_run(self, tmp_path, monkeypatch):
+        for name, text in RAW_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        stop = default_stopwords()
+        kept = {token for line in RAW_INPUTS["reviews.tsv"].splitlines()
+                for token in re.findall(r"[^\W_]+", line.split("\t")[2].lower())
+                if not any(ch.isnumeric() for ch in token) and token not in stop}
+        assert kept
+        calls = Counter()
+
+        def counting_stem(word):
+            calls[word] += 1
+            return porter_stem(word)
+
+        monkeypatch.setattr(ingest, "porter_stem", counting_stem)
+        argv = ["ingest", "--schema", str(tmp_path / "schema.txt"),
+                "--reviews", str(tmp_path / "reviews.tsv"), "--out", str(tmp_path / "out")]
+        for _ in range(2):
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == Counter(kept)
