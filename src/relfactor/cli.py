@@ -232,7 +232,7 @@ def _cmd_predict(args) -> str:
     store = load_model(args.model)
     lines = []
     scored = []  # positions in lines of the pairs that resolved
-    rel_names, rows, cols = [], [], []
+    rel_ids, rows, cols = [], [], []
     for _, parts in read_rows(args.pairs, 3, 3):
         line = "\t".join(parts)
         try:
@@ -244,10 +244,10 @@ def _cmd_predict(args) -> str:
             continue
         scored.append(len(lines))
         lines.append(line)
-        rel_names.append(rel.name)
+        rel_ids.append(store.rel_ids[rel.name])
         rows.append(e1.index)
         cols.append(e2.index)
-    probs = sigmoid_array(score_cells(store, rel_names, rows, cols)).tolist()
+    probs = sigmoid_array(score_cells(store, rel_ids, rows, cols)).tolist()
     for t, p in zip(scored, probs):
         lines[t] += f"\t{p:.17g}\t{classify(p, args.threshold)}"
     _write_atomic(args.out, "".join(line + "\n" for line in lines))

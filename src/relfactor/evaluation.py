@@ -255,13 +255,13 @@ def evaluate(store: EmbeddingStore, test_set: Sequence[LabeledCell],
     (over all cells) is included when both classes appear in the labels."""
     if not test_set:
         raise DataError("empty test set")
-    rel_names, rows, cols, labels = resolve_cells(store, test_set)
-    scores = sigmoid_array(score_cells(store, rel_names, rows, cols))
+    rel_ids, rows, cols, labels = resolve_cells(store, test_set)
+    scores = sigmoid_array(score_cells(store, rel_ids, rows, cols))
     preds = scores >= threshold  # classify(), elementwise
-    relation_of = np.asarray(rel_names)
-    datasets = {name: ConfusionCounts.from_arrays(preds[relation_of == name],
-                                                  labels[relation_of == name])
-                for name in dict.fromkeys(rel_names)}
+    names = list(store.relations)
+    datasets = {names[rel_id]: ConfusionCounts.from_arrays(preds[rel_ids == rel_id],
+                                                           labels[rel_ids == rel_id])
+                for rel_id in dict.fromkeys(rel_ids.tolist())}
     report = EvalReport(datasets=datasets, threshold=threshold)
     if 0 < int(labels.sum()) < len(labels):
         report.pr_points = pr_curve(scores, labels)

@@ -15,8 +15,8 @@ The updates of one epoch run as one call into the compiled kernel of
 ``kernel.c`` (see ``kernel.py``). ``_python_epoch`` over ``_apply_update`` is
 the reference it matches bit for bit, and the loop that runs when no
 compiler or cache directory is available; ``TrainLog.kernel`` names the one
-that ran. During an epoch the relation offsets live in a float64 array
-indexed by rel_id, written back to ``store.offsets`` after the epoch.
+that ran. Both update ``store.offsets``, the float64 array indexed by the
+store's relation ids, in place.
 """
 
 from __future__ import annotations
@@ -98,16 +98,17 @@ class TrainLog:
 
 
 def _apply_update(vectors: np.ndarray, biases: Optional[np.ndarray],
-                  offsets, rel, i: int, j: int, y: float, gamma: float, lam: float) -> float:
-    """One SGD step on cell (i, j); returns the residual e = y - p. offsets
-    is indexed by rel: a dict by relation name, or an array by rel_id."""
+                  offsets: Optional[np.ndarray], rel_id: int, i: int, j: int, y: float,
+                  gamma: float, lam: float) -> float:
+    """One SGD step on cell (i, j) of relation rel_id; returns the residual
+    e = y - p."""
     v1 = vectors[i]
     v2 = vectors[j]
     s = 0.0
     for a, b in zip(v1.tolist(), v2.tolist()):  # index order, as kernel.c sums
         s += a * b
     if biases is not None:
-        s += float(biases[i]) + float(biases[j]) + float(offsets[rel])
+        s += float(biases[i]) + float(biases[j]) + float(offsets[rel_id])
     e = y - sigmoid(s)
     ge = gamma * e
     d1 = ge * v2 - (gamma * lam) * v1
@@ -118,7 +119,7 @@ def _apply_update(vectors: np.ndarray, biases: Optional[np.ndarray],
         bi, bj = float(biases[i]), float(biases[j])
         biases[i] = bi + gamma * (e - lam * bi)
         biases[j] = bj + gamma * (e - lam * bj)
-        offsets[rel] += ge
+        offsets[rel_id] += ge
     return e
 
 
@@ -139,7 +140,7 @@ def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
              y: int, gamma: float, lam: float) -> None:
     """Apply one update on a labeled cell, mutating the store in place."""
     rel, ent1, ent2 = store.resolve(relation, e1_id, e2_id)
-    _apply_update(store.vectors, store.biases, store.offsets, rel.name,
+    _apply_update(store.vectors, store.biases, store.offsets, store.rel_ids[rel.name],
                   ent1.index, ent2.index, float(y), gamma, lam)
     touched = store.vectors[[ent1.index, ent2.index]]
     if not np.all(np.isfinite(touched)) or np.abs(touched).max() > _DIVERGENCE_LIMIT:
@@ -238,23 +239,23 @@ def train(db: Database, config: TrainConfig,
     rels = [db.relation(name) for name in names]
     n = len(db.entities)
 
-    observed = cell_columns(db, names)  # rows: rel_id, row, col, label
-    if not observed.shape[1]:
-        raise DataError("empty training set")
-    pos_counts = np.bincount(observed[0][observed[3] == 1], minlength=len(names)).tolist()
-
     store = init_embeddings(db, config.k, config.seed, config.init_scale,
                             enable_biases=config.enable_biases)
     vectors, biases = store.vectors, store.biases
-    offsets = None if biases is None else np.array([store.offsets[name] for name in names])
+    observed = cell_columns(db, names, store.rel_ids)  # rows: rel_id, row, col, label
+    if not observed.shape[1]:
+        raise DataError("empty training set")
+    pos_counts = np.bincount(observed[0][observed[3] == 1], minlength=len(db.relations)).tolist()
 
     val_positive_keys = np.empty(0, dtype=np.int64)
     if validation is not None:
-        val_names, val_rows, val_cols, val_labels = resolve_cells(store, validation)
+        val_ids, val_rows, val_cols, val_labels = resolve_cells(store, validation)
         positive = val_labels == 1
         val_positive_keys = val_rows[positive] * n + val_cols[positive]
 
-    pools = {rel_id: _CellPool(db, name) for rel_id, (name, rel) in enumerate(zip(names, rels))
+    # keyed by position in config.relations, which seeds each relation's draws
+    pools = {pos: (store.rel_ids[name], _CellPool(db, name))
+             for pos, (name, rel) in enumerate(zip(names, rels))
              if rel.positives_only or rel.fully_observed}
     kernel = epoch_kernel()
     run_epoch = kernel or _python_epoch
@@ -268,10 +269,10 @@ def train(db: Database, config: TrainConfig,
         neg_counts: dict[str, int] = {}
         degenerate = False
         val_collisions = 0
-        for rel_id, pool in pools.items():
-            positives_only = rels[rel_id].positives_only
+        for pos, (rel_id, pool) in pools.items():
+            positives_only = rels[pos].positives_only
             count = int(round(config.neg_ratio * pos_counts[rel_id]))
-            rng = substream(config.seed, "negatives", epoch, rel_id)
+            rng = substream(config.seed, "negatives", epoch, pos)
             keys, labels, degen = pool.draw(count, rng, reject=positives_only)
             degenerate = degenerate or degen
             neg_counts[pool.name] = count
@@ -282,13 +283,12 @@ def train(db: Database, config: TrainConfig,
         examples = np.concatenate(blocks, axis=1)
         order = substream(config.seed, "shuffle", epoch).permutation(examples.shape[1])
         rel_ids, rows, cols, labels = examples.take(order, axis=1)
-        bad = run_epoch(vectors, biases, offsets, rel_ids, rows, cols, labels,
+        bad = run_epoch(vectors, biases, store.offsets, rel_ids, rows, cols, labels,
                         config.gamma, config.lam)
-        if offsets is not None:
-            store.offsets.update(zip(names, offsets.tolist()))
         if bad >= 0:  # NaN residual: parameters went non-finite
+            name = [*store.relations][rel_ids[bad]]
             raise DivergenceError(f"non-finite parameters at epoch {epoch} "
-                                  f"on {names[rel_ids[bad]]} cell ({rows[bad]},{cols[bad]})")
+                                  f"on {name} cell ({rows[bad]},{cols[bad]})")
         del examples, order, rel_ids, rows, cols, labels  # free the epoch before the objective
 
         if not np.all(np.isfinite(vectors)) or np.abs(vectors).max() > _DIVERGENCE_LIMIT:
@@ -296,11 +296,11 @@ def train(db: Database, config: TrainConfig,
                                   f"at epoch {epoch}")
 
         # observed cells, then each relation's sampled label-0 cells in draw order
-        objective = cells_log_likelihood(store, names, np.concatenate(
+        objective = cells_log_likelihood(store, np.concatenate(
             [observed, *(block[:, block[3] == 0] for block in blocks[1:])], axis=1), config.lam)
         val_f1 = None
         if validation is not None:
-            preds = score_cells(store, val_names, val_rows, val_cols) >= 0.0  # sigmoid >= 0.5
+            preds = score_cells(store, val_ids, val_rows, val_cols) >= 0.0  # sigmoid >= 0.5
             c = ConfusionCounts.from_arrays(preds, val_labels)
             # 2tp / (2tp + fp + fn) rounds once, so equal F1 values tie exactly
             # and checkpoint-best keeps the earliest epoch among them

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relfactor import kernel
 from relfactor.model import EmbeddingStore, save_model
 from relfactor.schema import build_database, parse_manifest
 
@@ -14,6 +15,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+HAS_COMPILER = kernel.find_compiler() is not None
+
+
+@pytest.fixture
+def python_only(monkeypatch, tmp_path):
+    """After this is called, train() finds no compiler and an empty cache."""
+    def switch():
+        monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "empty-cache")
+        monkeypatch.setattr(kernel, "find_compiler", lambda: None)
+        kernel.epoch_kernel.cache_clear()
+    yield switch
+    kernel.epoch_kernel.cache_clear()
+
 
 TWO_TYPE_MANIFEST = """\
 # users rate businesses
@@ -76,7 +92,7 @@ def model_lines(simple_db, tmp_path):
     rng = np.random.default_rng(3)
     n = len(simple_db.entities)
     store = EmbeddingStore(simple_db.entities, simple_db.relations, rng.normal(size=(n, 2)),
-                           enable_biases=True, biases=rng.normal(size=n), offsets={"R": 0.25})
+                           enable_biases=True, biases=rng.normal(size=n), offsets=np.array([0.25]))
     path = tmp_path / "valid.rfm"
     save_model(store, path)
     return path.read_text().splitlines()
@@ -121,6 +137,8 @@ MALFORMED_MODELS = {
     "nan-offset": (_edit_line("offset ", _set_last_token("nan")), r"m\.rfm:\d+: non-finite"),
     "offset-of-undeclared-relation": (_edit_line("offset ", lambda l: [l.replace(" R ", " Q ")]),
                                       "offset of undeclared relation 'Q'"),
+    "duplicate-offset": (_edit_line("offset ", lambda l: [l, "offset R 5"]),
+                         r"m\.rfm:10: duplicate offset of relation 'R'"),
     "malformed-number": (_edit_line("user:u1\t", _set_last_token("0.5x")),
                          r"m\.rfm:5: malformed number"),
 }

@@ -17,6 +17,8 @@ import hashlib
 import relfactor as rf
 from relfactor.cli import main
 
+from conftest import HAS_COMPILER
+
 MODEL_SHA256 = "6271903f39f90e8cf4222fafbad011ea5c3cc24ab00c0a68914c3b637d510db2"
 REPORT_SHA256 = "f5690961f521827a8daacea81d470b8678d3a44607921d1548eec931ec6a686b"
 FULLY_OBSERVED_MODEL_SHA256 = "3900cb45ef76fefb83c83456c673627ca79c16b7f12093831c873b582562db30"
@@ -45,23 +47,36 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_golden_model_and_report_digests(tmp_path):
-    model_bytes, report, log = golden_run(tmp_path, planted())
-    f1s = [e.val_f1 for e in log.entries]
-    assert f1s.index(max(f1s)) < len(f1s) - 1  # checkpoint-best keeps an earlier epoch
-    assert sha256(model_bytes) == MODEL_SHA256
-    assert sha256(report.encode("utf-8")) == REPORT_SHA256
+def each_kernel(python_only):
+    """Names "c" (when a compiler is found), then switches train() to the
+    Python reference loop and names "python": the digests hold under both."""
+    if HAS_COMPILER:
+        yield "c"
+    python_only()
+    yield "python"
 
 
-def test_golden_fully_observed_side_relation(tmp_path):
+def test_golden_model_and_report_digests(tmp_path, python_only):
+    for kernel_name in each_kernel(python_only):
+        model_bytes, report, log = golden_run(tmp_path, planted())
+        assert log.kernel == kernel_name
+        f1s = [e.val_f1 for e in log.entries]
+        assert f1s.index(max(f1s)) < len(f1s) - 1  # checkpoint-best keeps an earlier epoch
+        assert sha256(model_bytes) == MODEL_SHA256
+        assert sha256(report.encode("utf-8")) == REPORT_SHA256
+
+
+def test_golden_fully_observed_side_relation(tmp_path, python_only):
     source = planted()
     census = [(e.type, e.id) for e in source.entities]
     stream = [t for name in ("R", "C") for t in source.iter_tuples(name)]
     db = rf.build_database(rf.parse_manifest(FULLY_OBSERVED_MANIFEST), stream, census=census)
-    model_bytes, report, log = golden_run(tmp_path, db)
-    assert all(e.negatives_sampled["C"] == db.tuple_count("C") for e in log.entries)
-    assert sha256(model_bytes) == FULLY_OBSERVED_MODEL_SHA256
-    assert sha256(report.encode("utf-8")) == FULLY_OBSERVED_REPORT_SHA256
+    for kernel_name in each_kernel(python_only):
+        model_bytes, report, log = golden_run(tmp_path, db)
+        assert log.kernel == kernel_name
+        assert all(e.negatives_sampled["C"] == db.tuple_count("C") for e in log.entries)
+        assert sha256(model_bytes) == FULLY_OBSERVED_MODEL_SHA256
+        assert sha256(report.encode("utf-8")) == FULLY_OBSERVED_REPORT_SHA256
 
 
 # A raw corpus for `relfactor ingest`, as the files hold it. The reviews mix

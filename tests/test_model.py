@@ -62,7 +62,7 @@ class TestScore:
         store = store_with(simple_db, {}, k=2, enable_biases=True)
         store.biases[simple_db.entities.get("user", "u1").index] = 1.0
         store.biases[simple_db.entities.get("business", "b1").index] = 0.5
-        store.offsets["R"] = -1.5
+        store.offsets[store.rel_ids["R"]] = -1.5
         assert score(store, "R", "u1", "b1") == 0.5
 
     def test_unknown_entity_rejected(self, simple_db):
@@ -87,7 +87,7 @@ def scored_stores(draw):
     n = len(db.entities)
     store = EmbeddingStore(db.entities, db.relations, rng.normal(scale=2.0, size=(n, k)),
                            enable_biases=enable_biases, biases=rng.normal(size=n),
-                           offsets={"R": float(rng.normal()), "T": float(rng.normal())})
+                           offsets=np.array([rng.normal(), rng.normal()]))
     cells = [("R", f"u{a}", f"i{b}", int(rng.integers(0, 2)))
              for a in range(n_users) for b in range(n_items)]
     cells += [("T", f"i{a}", f"t{b}", int(rng.integers(0, 2)))
@@ -101,14 +101,14 @@ class TestScoreCells:
     def test_matches_score_cell_by_cell(self, case):
         store, cells = case
         resolved = [store.resolve(r, a, b) for r, a, b, _ in cells]
-        probs = sigmoid_array(score_cells(store, [rel.name for rel, _, _ in resolved],
+        probs = sigmoid_array(score_cells(store, [store.rel_ids[rel.name] for rel, _, _ in resolved],
                                           [e1.index for _, e1, _ in resolved],
                                           [e2.index for _, _, e2 in resolved]))
         for (rel, e1, e2), p in zip(resolved, probs):
             assert abs(p - score(store, rel.name, e1.id, e2.id)) <= 1e-12
             s = math.fsum(store.vectors[e1.index] * store.vectors[e2.index])
             if store.enable_biases:
-                s += store.biases[e1.index] + store.biases[e2.index] + store.offsets[rel.name]
+                s += store.biases[e1.index] + store.biases[e2.index] + store.offsets[store.rel_ids[rel.name]]
             assert abs(p - sigmoid(s)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -158,11 +158,43 @@ class TestLogLikelihood:
 
     def test_sampled_negatives_added_as_zeros(self, simple_manifest):
         db = build_database(simple_manifest, [("R", "u1", "b1", 1)])
-        store = store_with(db, {}, k=2)
-        base = log_likelihood(store, db, ["R"], 0.0)
-        extra = log_likelihood(store, db, ["R"], 0.0,
-                               sampled_negatives=[("R", 0, 1)])
-        assert extra == pytest.approx(base + math.log(0.5))
+        for enable_biases in (False, True):
+            store = store_with(db, {}, k=2, enable_biases=enable_biases)
+            base = log_likelihood(store, db, ["R"], 0.0)
+            extra = log_likelihood(store, db, ["R"], 0.0,
+                                   sampled_negatives=[("R", 0, 1)])
+            assert extra == pytest.approx(base + math.log(0.5))
+            with pytest.raises(DataError, match="unknown relation 'Z'"):
+                log_likelihood(store, db, ["R"], 0.0, sampled_negatives=[("Z", 0, 1)])
+
+    def test_relations_matched_by_name_not_manifest_order(self):
+        """A store scores a database whose manifest lists the relations in
+        another order by relation name: each cell gets its relation's offset."""
+        declarations = ["relation R user item", "relation T item tag positives_only"]
+        census = [("user", "u0"), ("user", "u1"), ("item", "i0"), ("item", "i1"), ("tag", "t0")]
+        stream = [("R", "u0", "i0", 1), ("R", "u1", "i0", 0), ("R", "u1", "i1", 1),
+                  ("T", "i0", "t0", 1)]
+        dbs = [build_database(parse_manifest("\n".join(["type user", "type item", "type tag",
+                                                          *order])), stream, census=census)
+               for order in (declarations, declarations[::-1])]
+        rng = np.random.default_rng(4)
+        n = len(census)
+        store = EmbeddingStore(dbs[0].entities, dbs[0].relations, rng.normal(size=(n, 2)),
+                               enable_biases=True, biases=rng.normal(size=n),
+                               offsets=np.array([0.75, -2.0]))
+        negatives = [("T", 3, 4), ("R", 0, 3)]  # global indices: (i1, t0), (u0, i1)
+        types = {"R": ("user", "item"), "T": ("item", "tag")}
+        offsets = {"R": 0.75, "T": -2.0}
+        cells = [(r, dbs[0].entities.get(types[r][0], a).index,
+                  dbs[0].entities.get(types[r][1], b).index, y) for r, a, b, y in stream]
+        expected = -0.01 * store.squared_norm()
+        for r, i, j, y in cells + [(r, i, j, 0) for r, i, j in negatives]:
+            s = store.vectors[i] @ store.vectors[j] + store.biases[i] + store.biases[j] + offsets[r]
+            expected += math.log(sigmoid(s if y else -s))
+        values = [log_likelihood(store, db, ["R", "T"], 0.01, sampled_negatives=negatives)
+                  for db in dbs]
+        assert [e.key for e in dbs[1].entities] == [e.key for e in store.entities]
+        assert values[0] == values[1] == pytest.approx(expected, abs=1e-12)
 
     def test_non_finite_parameters_rejected(self, simple_db):
         store = store_with(simple_db, {("user", "u1"): [np.inf, 0]}, k=2)
@@ -192,7 +224,7 @@ class TestInitEmbeddings:
     def test_biases_start_at_zero(self, simple_db):
         store = init_embeddings(simple_db, k=2, seed=1, enable_biases=True)
         assert np.all(store.biases == 0.0)
-        assert all(v == 0.0 for v in store.offsets.values())
+        assert all(v == 0.0 for v in store.offsets)
 
 
 class TestPersistence:
@@ -224,13 +256,31 @@ class TestPersistence:
                                rng.normal(size=(len(simple_db.entities), 3)),
                                enable_biases=True,
                                biases=rng.normal(size=len(simple_db.entities)),
-                               offsets={"R": 0.123456789123456789})
+                               offsets=np.array([0.123456789123456789]))
         path = tmp_path / "m.rfm"
         save_model(store, path)
         loaded = load_model(path)
         assert loaded.enable_biases
         assert np.array_equal(loaded.biases, store.biases)
-        assert loaded.offsets == store.offsets
+        assert np.array_equal(loaded.offsets, store.offsets)
+
+    def test_offset_lines_read_by_name(self, tmp_path):
+        """Offset lines in any order load by relation name, and save back in
+        relation order."""
+        manifest = parse_manifest("type user\ntype item\nrelation R user item\n"
+                                  "relation S user item\n")
+        db = build_database(manifest, [("R", "u", "i", 1)])
+        store = EmbeddingStore(db.entities, db.relations, np.zeros((2, 1)), enable_biases=True,
+                               offsets=np.array([0.5, -3.0]))
+        path = tmp_path / "m.rfm"
+        save_model(store, path)
+        lines = path.read_text().splitlines()
+        assert lines[-2:] == ["offset R 0.5", "offset S -3"]
+        loaded = load_model(write_model(tmp_path / "swapped.rfm", lines[:-2] + lines[:-3:-1]))
+        assert loaded.offsets[loaded.rel_ids["R"]] == 0.5
+        assert loaded.offsets[loaded.rel_ids["S"]] == -3.0
+        save_model(loaded, tmp_path / "resaved.rfm")
+        assert (tmp_path / "resaved.rfm").read_bytes() == path.read_bytes()
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "m.rfm"

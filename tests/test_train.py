@@ -66,7 +66,7 @@ class TestSgdStep:
         # e = 1 - sigmoid(0) = 0.5
         assert store.biases[db.entities.get("a", "x").index] == pytest.approx(0.05)
         assert store.biases[db.entities.get("b", "y").index] == pytest.approx(0.05)
-        assert store.offsets["R"] == pytest.approx(0.05)
+        assert store.offsets[store.rel_ids["R"]] == pytest.approx(0.05)
 
     def test_divergent_parameters_rejected(self):
         db = one_cell_db()
