@@ -47,14 +47,8 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _target_tuples(db: Database, relation: str) -> list[tuple[int, int, int]]:
-    return [(i, j, y) for (i, j), y in db.cells(relation).items()]
-
-
-def _as_cells(db: Database, relation: str,
-              tuples: Sequence[tuple[int, int, int]]) -> list[LabeledCell]:
-    ents = list(db.entities)
-    return [(relation, ents[i].id, ents[j].id, y) for i, j, y in tuples]
+def _as_cells(db: Database, relation: str, columns: np.ndarray) -> list[LabeledCell]:
+    return list(db.with_tuples({relation: columns}).iter_tuples(relation))
 
 
 def split_held_out(db: Database, spec: SplitSpec) -> tuple[Database, list[LabeledCell], list[LabeledCell]]:
@@ -62,17 +56,14 @@ def split_held_out(db: Database, spec: SplitSpec) -> tuple[Database, list[Labele
     divided equally into validation and test (odd remainder to validation)."""
     if spec.mode != "held_out":
         raise DataError("split_held_out requires mode 'held_out'")
-    tuples = _target_tuples(db, spec.target_relation)
-    if not tuples:
+    columns = db.columns(spec.target_relation)
+    n = columns.shape[1]
+    if not n:
         raise DataError(f"target relation {spec.target_relation} is empty")
-    rng = substream(spec.seed, "split")
-    order = rng.permutation(len(tuples))
-    n_train = _round_half_up(spec.train_fraction * len(tuples))
-    rest = len(tuples) - n_train
-    n_val = (rest + 1) // 2
-    train_part = [tuples[t] for t in order[:n_train]]
-    val_part = [tuples[t] for t in order[n_train:n_train + n_val]]
-    test_part = [tuples[t] for t in order[n_train + n_val:]]
+    order = substream(spec.seed, "split").permutation(n)
+    n_train = _round_half_up(spec.train_fraction * n)
+    n_val = (n - n_train + 1) // 2
+    train_part, val_part, test_part = np.hsplit(columns[:, order], [n_train, n_train + n_val])
     train_db = db.with_tuples({spec.target_relation: train_part})
     return train_db, _as_cells(db, spec.target_relation, val_part), \
         _as_cells(db, spec.target_relation, test_part)
@@ -103,16 +94,14 @@ def split_cold_start(db: Database, spec: SplitSpec):
     cold = [population[t] for t in order[:n_cold]]
     if not cold:
         raise DataError("cold entity set is empty after draw")
-    cold_indices = {e.index for e in cold}
 
+    columns = db.columns(spec.target_relation)
     side = 0 if spec.cold_side == "row" else 1
-    test_part, warm = [], []
-    for tup in _target_tuples(db, spec.target_relation):
-        (test_part if tup[side] in cold_indices else warm).append(tup)
-    warm_order = rng.permutation(len(warm))
-    n_train = _round_half_up(0.9 * len(warm))
-    train_part = [warm[t] for t in warm_order[:n_train]]
-    val_part = [warm[t] for t in warm_order[n_train:]]
+    is_cold = np.isin(columns[side], [e.index for e in cold])
+    test_part, warm = columns[:, is_cold], columns[:, ~is_cold]
+    warm_order = rng.permutation(warm.shape[1])
+    n_train = _round_half_up(0.9 * warm.shape[1])
+    train_part, val_part = np.hsplit(warm[:, warm_order], [n_train])
     train_db = db.with_tuples({spec.target_relation: train_part})
     return train_db, _as_cells(db, spec.target_relation, val_part), \
         _as_cells(db, spec.target_relation, test_part), cold

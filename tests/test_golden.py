@@ -5,7 +5,8 @@ negatives of a positives_only relation, the validation scorer and
 checkpoint-best selection (the best validation F1 is at epoch 3 of 5). The
 second trains R with a fully_observed side relation and no positives_only
 relation, so no negative is ever rejected and redrawn. A third pins every
-tuple file `relfactor ingest` writes from a small raw corpus. The digests of
+tuple file `relfactor ingest` writes from a small raw corpus, and a fourth
+the outputs of both split protocols. The digests of
 the trained runs depend on numpy's floating-point kernels and on the CPU, so
 a new numpy or another machine may legitimately change them. A change that
 is meant to move them must update the values and record the reason in
@@ -23,6 +24,11 @@ MODEL_SHA256 = "6271903f39f90e8cf4222fafbad011ea5c3cc24ab00c0a68914c3b637d510db2
 REPORT_SHA256 = "f5690961f521827a8daacea81d470b8678d3a44607921d1548eec931ec6a686b"
 FULLY_OBSERVED_MODEL_SHA256 = "3900cb45ef76fefb83c83456c673627ca79c16b7f12093831c873b582562db30"
 FULLY_OBSERVED_REPORT_SHA256 = "7aef85710f2a276b4b95897f450993e3aceeee96550bf34f7c849b7a437e0304"
+SPLIT_SHA256 = {
+    "held_out": "d318bdbe0756a877b1815396d7c66b47bd7200eede0b99a7b4e8a210dae3c2e1",
+    "cold_start col": "a18ff09c9c7fe9f59d854b4ee48fe2b0cd1da58819a5e738e0eb8e2c93b4dffa",
+    "cold_start row": "d434f4006b916382dd512cfecb8eb31602c03930a2f28ca2b71e0b9ca30320b8",
+}
 
 FULLY_OBSERVED_MANIFEST = ("type user\ntype item\ntype category\n"
                            "relation R user item\n"
@@ -64,6 +70,21 @@ def test_golden_model_and_report_digests(tmp_path, python_only):
         assert f1s.index(max(f1s)) < len(f1s) - 1  # checkpoint-best keeps an earlier epoch
         assert sha256(model_bytes) == MODEL_SHA256
         assert sha256(report.encode("utf-8")) == REPORT_SHA256
+
+
+def test_golden_split_digests():
+    """The training database's R tuples in order, the validation and test
+    lists and the cold entity keys of each split protocol on planted()."""
+    def digest(train_db, val, test, cold=()):
+        parts = [list(train_db.iter_tuples("R")), val, test, [e.key for e in cold]]
+        return sha256(repr(parts).encode("utf-8"))
+
+    db = planted()
+    digests = {"held_out": digest(*rf.split_held_out(db, rf.SplitSpec("held_out", "R", seed=0)))}
+    for side in ("col", "row"):
+        spec = rf.SplitSpec("cold_start", "R", cold_side=side, seed=0)
+        digests[f"cold_start {side}"] = digest(*rf.split_cold_start(db, spec))
+    assert digests == SPLIT_SHA256
 
 
 def test_golden_fully_observed_side_relation(tmp_path, python_only):

@@ -13,7 +13,7 @@ import pytest
 
 import relfactor as rf
 from relfactor import kernel
-from relfactor.schema import build_database, parse_manifest
+from relfactor.schema import build_database, lookup, parse_manifest
 
 from conftest import HAS_COMPILER
 
@@ -33,8 +33,7 @@ def mixed_db():
     stream += [("F", f"u{u}", f"u{(u * 7) % 20}", 1) for u in range(20)]
     stream += [("C", f"i{i}", f"c{i % 4}", 1) for i in range(15)]
     db = build_database(parse_manifest(MANIFEST), stream)
-    user0 = db.entities.get("user", "u0").index
-    assert (user0, user0) in db.cells("F")
+    assert lookup(db, "F", "u0", "u0") == 1
     return db
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relfactor import model
 from relfactor.errors import DataError
 from relfactor.evaluation import classify, evaluate, f1_report
 from relfactor.model import (EmbeddingStore, init_embeddings, load_model,
@@ -122,6 +124,45 @@ class TestScoreCells:
             expected = f1_report(preds, [y for *_, y in mine]).pooled
             assert report.datasets[name] == expected
             assert all(type(v) is int for v in vars(report.datasets[name]).values())
+
+
+class TestScoreBlocks:
+    def blocked_store(self, n_cells, k, seed=5):
+        rng = np.random.default_rng(seed)
+        manifest = parse_manifest("type user\ntype item\nrelation R user item\n")
+        census = [("user", f"u{i}") for i in range(300)] + [("item", f"i{i}") for i in range(200)]
+        db = build_database(manifest, [], census=census)
+        n = len(db.entities)
+        store = EmbeddingStore(db.entities, db.relations, rng.normal(size=(n, k)),
+                               enable_biases=True, biases=rng.normal(size=n),
+                               offsets=np.array([0.3]))
+        rows = rng.integers(0, 300, size=n_cells)
+        cols = rng.integers(300, n, size=n_cells)
+        return store, np.zeros(n_cells, dtype=np.int64), rows, cols
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 30, 64])
+    def test_blocks_match_one_gather_and_single_cells(self, k):
+        n_cells = 3 * model._SCORE_BLOCK + 17
+        store, rel_ids, rows, cols = self.blocked_store(n_cells, k)
+        whole = (np.einsum("ij,ij->i", store.vectors[rows], store.vectors[cols])
+                 + store.biases[rows] + store.biases[cols] + store.offsets[rel_ids])
+        blocked = score_cells(store, rel_ids, rows, cols)
+        assert np.array_equal(blocked, whole)
+        ents = list(store.entities)
+        for t in (0, model._SCORE_BLOCK - 1, model._SCORE_BLOCK, n_cells - 1):
+            p = score(store, "R", ents[rows[t]].id, ents[cols[t]].id)
+            assert abs(sigmoid(blocked[t]) - p) <= 1e-12
+
+    def test_peak_memory_bounded_by_block(self):
+        # the two whole (200k, 30) gathers alone take 96 MB
+        store, rel_ids, rows, cols = self.blocked_store(200_000, 30)
+        tracemalloc.start()
+        try:
+            score_cells(store, rel_ids, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestLogLikelihood:

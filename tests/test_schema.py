@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +55,27 @@ class TestBuildDatabase:
         assert db.tuple_count("R") == 2
         assert db.entities.get("user", "u1").ordinal == 0
         assert db.entities.get("business", "b2").ordinal == 1
+
+    def test_columns_in_insertion_order_and_read_only(self, simple_db):
+        columns = simple_db.columns("R")
+        ents = list(simple_db.entities)
+        assert [(ents[i].id, ents[j].id, y) for i, j, y in columns.T.tolist()] == [
+            ("u1", "b1", 1), ("u1", "b2", 0), ("u2", "b1", 1)]
+        keys, labels = simple_db.cell_index("R")
+        for array in (columns, keys, labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+
+    def test_with_tuples_leaves_source_columns_unchanged(self, rich_manifest):
+        stream = [("R", "u1", "b1", 1), ("R", "u2", "b1", 0), ("C", "b1", "c1", 1)]
+        db = build_database(rich_manifest, stream)
+        before = {name: db.columns(name).copy() for name in db.relations}
+        kept = db.with_tuples({"R": db.columns("R")[:, 1:]})
+        assert kept.tuple_count("R") == 1 and lookup(kept, "R", "u1", "b1") is None
+        assert kept.columns("C") is db.columns("C")
+        for name, columns in before.items():
+            assert np.array_equal(db.columns(name), columns)
+        assert lookup(db, "R", "u1", "b1") == 1
 
     def test_exact_duplicates_deduplicated(self, simple_manifest):
         db = build_database(simple_manifest, [("R", "u1", "b1", 1), ("R", "u1", "b1", 1)])
