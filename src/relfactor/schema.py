@@ -228,7 +228,10 @@ class Database:
         ``kept`` maps relation name -> (3, n) columns as ``columns`` holds
         them, ``[]`` for none; relations not in ``kept`` are shared. The
         shared registry is what keeps withheld entities registered after a split.
+        A name in ``kept`` that the manifest does not declare is a DataError.
         """
+        for name in kept:
+            self.relation(name)
         columns = {name: np.array(kept[name], dtype=np.int64).reshape(3, -1) if name in kept
                    else self._columns[name] for name in self.relations}
         return Database(self.manifest, self.entities, columns)

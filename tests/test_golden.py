@@ -4,7 +4,8 @@ The first small fixed run covers biases and relation offsets, sampled
 negatives of a positives_only relation, the validation scorer and
 checkpoint-best selection (the best validation F1 is at epoch 3 of 5). The
 second trains R with a fully_observed side relation and no positives_only
-relation, so no negative is ever rejected and redrawn. A third pins every
+relation, so its cells are drawn by the lookup path only and never by rank
+among a relation's free cells. A third pins every
 tuple file `relfactor ingest` writes from a small raw corpus, and a fourth
 the outputs of both split protocols. The digests of
 the trained runs depend on numpy's floating-point kernels and on the CPU, so
@@ -20,8 +21,8 @@ from relfactor.cli import main
 
 from conftest import HAS_COMPILER
 
-MODEL_SHA256 = "6271903f39f90e8cf4222fafbad011ea5c3cc24ab00c0a68914c3b637d510db2"
-REPORT_SHA256 = "f5690961f521827a8daacea81d470b8678d3a44607921d1548eec931ec6a686b"
+MODEL_SHA256 = "2b8716cec931aead2b0789abe24c8e08f5f0101c62d27d3e0a71930cf9280edc"
+REPORT_SHA256 = "e8d90926ae381906f8f1e3100e6397a7e4f1ca228a107e159e90b375fac68f09"
 FULLY_OBSERVED_MODEL_SHA256 = "3900cb45ef76fefb83c83456c673627ca79c16b7f12093831c873b582562db30"
 FULLY_OBSERVED_REPORT_SHA256 = "7aef85710f2a276b4b95897f450993e3aceeee96550bf34f7c849b7a437e0304"
 SPLIT_SHA256 = {

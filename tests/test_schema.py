@@ -77,6 +77,11 @@ class TestBuildDatabase:
             assert np.array_equal(db.columns(name), columns)
         assert lookup(db, "R", "u1", "b1") == 1
 
+    def test_with_tuples_rejects_undeclared_relation(self, simple_manifest):
+        db = build_database(simple_manifest, [("R", "u1", "b1", 1)])
+        with pytest.raises(DataError, match="unknown relation 'Rx'"):
+            db.with_tuples({"Rx": []})
+
     def test_exact_duplicates_deduplicated(self, simple_manifest):
         db = build_database(simple_manifest, [("R", "u1", "b1", 1), ("R", "u1", "b1", 1)])
         assert db.tuple_count("R") == 1

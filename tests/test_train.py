@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relfactor.errors import DataError, DivergenceError
 from relfactor.model import EmbeddingStore, sigmoid
@@ -221,6 +222,60 @@ class TestSampleNegatives:
         taken = stored(db, "C")
         assert labels.tolist() == [taken.get(divmod(key, n), 0) for key in keys.tolist()]
         assert 1 in labels.tolist() and not degenerate
+
+    @staticmethod
+    def interleaved_db(relation, order, stored_cells):
+        """Entities of types a, b and c registered in ``order`` (a list of
+        type names), and ``relation`` holding the cells at ``stored_cells``
+        (row ordinal, column ordinal)."""
+        manifest = parse_manifest("type a\ntype b\ntype c\n"
+                                  "relation AB a b positives_only\n"
+                                  "relation AA a a positives_only\n")
+        census = [(t, f"{t}{order[:at].count(t)}") for at, t in enumerate(order)]
+        rel = manifest.relations[relation]
+        stream = [(relation, f"{rel.row_type}{i}", f"{rel.col_type}{j}", 1) for i, j in stored_cells]
+        return build_database(manifest, stream, census=census)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_draw_by_rank_matches_free_cells(self, data):
+        relation = data.draw(st.sampled_from(["AB", "AA"]))
+        n_a = data.draw(st.integers(1, 5))
+        n_b = data.draw(st.integers(1, 5)) if relation == "AB" else n_a
+        order = data.draw(st.permutations(["a"] * n_a + ["b"] * n_b
+                                          + ["c"] * data.draw(st.integers(0, 3))))
+        grid = [(i, j) for i in range(n_a) for j in range(n_b)]
+        stored_cells = data.draw(st.lists(st.sampled_from(grid), unique=True))
+        db = self.interleaved_db(relation, order, stored_cells)
+        taken = set(stored(db, relation))
+        rel = db.relation(relation)
+        free = {(r.index, c.index) for r in db.entities.of_type(rel.row_type)
+                for c in db.entities.of_type(rel.col_type)} - taken
+        count = data.draw(st.integers(0, len(grid)))
+        cells, degenerate = sample_negatives(db, relation, count,
+                                             substream(data.draw(st.integers(0, 99)), "negatives"))
+        drawn_free = [cell for cell in cells if cell not in taken]
+        assert len(cells) == count and degenerate == (count > len(free))
+        assert len(drawn_free) == len(set(drawn_free)) == min(count, len(free))
+        assert set(drawn_free) <= free
+        if count >= len(free):
+            assert set(drawn_free) == free
+
+    def test_free_cells_drawn_uniformly(self):
+        # 4 x 5 cells, 8 stored: each of the 12 free cells is expected
+        # 3 times in 12 per draw, so 1 000 times in 4 000 draws of 3
+        stored_cells = [(0, 0), (0, 4), (1, 1), (1, 2), (2, 0), (3, 1), (3, 3), (3, 4)]
+        db = self.interleaved_db("AB", list("abcabbaccbab"), stored_cells)
+        pool = _CellPool(db, "AB")
+        rng = substream(7, "negatives")
+        keys = np.concatenate([pool.draw(3, rng, reject=True)[0] for _ in range(4000)])
+        counts = dict(zip(*np.unique(keys, return_counts=True)))
+        free = {r.index * pool.n + c.index for r in db.entities.of_type("a")
+                for c in db.entities.of_type("b")} - {i * pool.n + j for i, j in stored(db, "AB")}
+        assert set(counts) == free
+        expected = 4000 * 3 / len(free)
+        chi2 = sum((seen - expected) ** 2 / expected for seen in counts.values())
+        assert chi2 < 31.26  # chi-square, 11 degrees of freedom, p = 0.001
 
 
 class TestTrain:
