@@ -22,7 +22,7 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array
 from .schema import (Database, Manifest, build_database, format_manifest,
-                     format_tuple_line, load_manifest, read_rows, read_tuple_stream)
+                     load_manifest, read_rows, read_tuple_stream, tuple_line_template)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
@@ -80,8 +80,9 @@ def _write_database(db: Database, out_dir: str | os.PathLike) -> None:
     _write_atomic(out / "manifest.txt", format_manifest(db.manifest))
     _write_atomic(out / "entities.tsv", "".join(f"{e.type}\t{e.id}\n" for e in db.entities))
     for name, rel in db.relations.items():
-        lines = [format_tuple_line(rel, e1, e2, y) for _, e1, e2, y in db.iter_tuples(name)]
-        _write_atomic(out / f"{name}.tsv", "".join(line + "\n" for line in lines))
+        template = tuple_line_template(rel)
+        _write_atomic(out / f"{name}.tsv",
+                      "".join([template % (e1, e2, y) for _, e1, e2, y in db.iter_tuples(name)]))
 
 
 def _parse_entity_ref(ref: str) -> tuple[str, str]:
@@ -121,18 +122,18 @@ def _cmd_ingest(args) -> str:
                             f"expected {{{', '.join(sorted(expected))}}}")
         return rel
 
-    def emit(rel, pairs_with_labels, first_type: str):
-        # pairs arrive as (first_entity, second_entity); orient to row/col
-        lines = []
-        for first, second, label in pairs_with_labels:
-            e1, e2 = (first, second) if rel.row_type == first_type else (second, first)
-            lines.append(format_tuple_line(rel, e1, e2, label))
-        queued.append((out / f"{rel.name}.tsv", "".join(line + "\n" for line in lines)))
+    def emit(rel, triples, first_type: str):
+        # triples arrive as (first_entity, second_entity, label); orient to row/col
+        template = tuple_line_template(rel)
+        if rel.row_type == first_type:
+            lines = [template % t for t in triples]
+        else:
+            lines = [template % (second, first, y) for first, second, y in triples]
+        queued.append((out / f"{rel.name}.tsv", "".join(lines)))
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
-        resolved = resolve_rating_conflicts(read_ratings(args.ratings))
-        emit(rel, [(u, i, y) for u, i, y in resolved], args.user_type)
+        emit(rel, resolve_rating_conflicts(read_ratings(args.ratings)), args.user_type)
     if args.categories:
         rel = relation_for(args.category_relation, {args.item_type, args.category_type})
         kept = filter_categories(read_categories(args.categories), config)

@@ -161,25 +161,25 @@ def resolve_rating_conflicts(ratings: Sequence[RawRating]) -> list[tuple[str, st
     rating with the latest timestamp, falling back to the last occurrence in
     stream order when any timestamp is missing.
     """
-    per_cell: dict[tuple[str, str], list[tuple[int, Optional[int], int]]] = {}
-    order: list[tuple[str, str]] = []
+    # One pass: the first (pos, ts, label) of every cell, in first-occurrence
+    # order, and a list of all entries only for cells rated more than once.
+    first: dict[tuple[str, str], tuple[int, Optional[int], int]] = {}
+    repeated: dict[tuple[str, str], list[tuple[int, Optional[int], int]]] = {}
     for pos, r in enumerate(ratings):
+        entry = (pos, r.timestamp, binarize_rating(r.stars))
         cell = (r.user_id, r.item_id)
-        if cell not in per_cell:
-            per_cell[cell] = []
-            order.append(cell)
-        per_cell[cell].append((pos, r.timestamp, binarize_rating(r.stars)))
+        seen = first.setdefault(cell, entry)
+        if seen is not entry:
+            repeated.setdefault(cell, [seen]).append(entry)
     out = []
-    for cell in order:
-        entries = per_cell[cell]
-        labels = {label for _, _, label in entries}
-        if len(labels) == 1:
-            winner = entries[0][2]
-        elif all(ts is not None for _, ts, _ in entries):
-            winner = max(entries, key=lambda e: (e[1], e[0]))[2]
-        else:
-            winner = entries[-1][2]
-        out.append((cell[0], cell[1], winner))
+    for cell, (_, _, label) in first.items():
+        entries = repeated.get(cell)
+        if entries is not None and any(e[2] != label for e in entries):
+            if all(ts is not None for _, ts, _ in entries):
+                label = max(entries, key=lambda e: (e[1], e[0]))[2]
+            else:
+                label = entries[-1][2]
+        out.append((cell[0], cell[1], label))
     return out
 
 

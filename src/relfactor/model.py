@@ -207,10 +207,13 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     header = f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
     manifest = Manifest(list(store.entities.types), store.relations)
     lines = [header, *format_manifest(manifest).splitlines()]
-    for ent in store.entities:
-        b = store.biases[ent.index] if store.enable_biases else 0.0
-        coords = " ".join(format(c, ".17g") for c in store.vectors[ent.index])
-        lines.append(f"{ent.type}:{ent.id}\tb={b:.17g}\t{coords}")
+    # One %-format per entity line; "%.17g" writes what format(c, ".17g")
+    # does, and ids go in as arguments, so a "%" in them stays literal.
+    row = "%s:%s\tb=%.17g\t" + " ".join(["%.17g"] * store.k)
+    vectors = store.vectors.tolist()
+    biases = store.biases.tolist() if store.enable_biases else [0.0] * len(vectors)
+    for ent, b, coords in zip(store.entities, biases, vectors):
+        lines.append(row % (ent.type, ent.id, b, *coords))
     if store.enable_biases:
         for name, value in zip(store.relations, store.offsets.tolist()):
             lines.append(f"offset {name} {value:.17g}")

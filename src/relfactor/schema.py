@@ -375,7 +375,12 @@ def format_manifest(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_tuple_line(rel: Relation, e1_id: str, e2_id: str, label: int) -> str:
-    if rel.positives_only:
-        return f"{rel.name}\t{e1_id}\t{e2_id}"
-    return f"{rel.name}\t{e1_id}\t{e2_id}\t{label}"
+def tuple_line_template(rel: Relation) -> str:
+    """%-template of one tuple-stream line of rel, newline included, to be
+    filled with (e1_id, e2_id, label).
+
+    A positives_only relation's label is implied, so its field is "%.0s",
+    which prints nothing. A "%" in the relation name is escaped.
+    """
+    label = "%.0s" if rel.positives_only else "\t%s"
+    return rel.name.replace("%", "%%") + "\t%s\t%s" + label + "\n"

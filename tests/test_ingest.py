@@ -233,6 +233,40 @@ class TestResolveRatingConflicts:
         ratings = [RawRating("u2", "b", 4), RawRating("u1", "b", 2)]
         assert resolve_rating_conflicts(ratings) == [("u2", "b", 1), ("u1", "b", 0)]
 
+    @staticmethod
+    def reference(ratings):
+        """The rule kept one entry list and one label set per cell."""
+        per_cell, order = {}, []
+        for pos, r in enumerate(ratings):
+            cell = (r.user_id, r.item_id)
+            if cell not in per_cell:
+                per_cell[cell] = []
+                order.append(cell)
+            per_cell[cell].append((pos, r.timestamp, binarize_rating(r.stars)))
+        out = []
+        for cell in order:
+            entries = per_cell[cell]
+            if len({label for _, _, label in entries}) == 1:
+                winner = entries[0][2]
+            elif all(ts is not None for _, ts, _ in entries):
+                winner = max(entries, key=lambda e: (e[1], e[0]))[2]
+            else:
+                winner = entries[-1][2]
+            out.append((cell[0], cell[1], winner))
+        return out
+
+    # few users, items and timestamps, so that cells repeat, labels agree and
+    # conflict, and timestamps tie or are missing
+    @given(st.lists(st.builds(RawRating, st.sampled_from(["u1", "u2", "u3"]),
+                              st.sampled_from(["b1", "b2"]), st.integers(1, 5),
+                              st.none() | st.integers(0, 3)),
+                    max_size=40))
+    @example([RawRating("u", "b", 5, 2), RawRating("u", "b", 1, 2), RawRating("u", "b", 4, 1)])
+    @example([RawRating("u", "b", 1, 7), RawRating("u", "b", 5), RawRating("u", "b", 2, 9)])
+    @settings(max_examples=300)
+    def test_matches_per_cell_list_reference(self, ratings):
+        assert resolve_rating_conflicts(ratings) == self.reference(ratings)
+
 
 class TestRawFiles:
     def test_review_text_escaping_roundtrip(self, tmp_path):

@@ -323,6 +323,43 @@ class TestPersistence:
         save_model(loaded, tmp_path / "resaved.rfm")
         assert (tmp_path / "resaved.rfm").read_bytes() == path.read_bytes()
 
+    # signed zero, the smallest subnormal, the smallest normal, a huge value
+    # and values whose shortest repr is shorter than 17 digits
+    EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 0.1, 1.0, -3.0]
+
+    @pytest.mark.parametrize("enable_biases", [False, True])
+    def test_lines_match_per_value_format(self, simple_manifest, tmp_path, enable_biases):
+        # ids holding %-format and str.format fields must be written literally
+        db = build_database(simple_manifest, [("R", "u%s{0}", "b%%d{}", 1), ("R", "u2", "b1", 0)])
+        values = self.EDGE_VALUES
+        k = len(values)
+        vectors = np.array([np.roll(values, i) for i in range(len(db.entities))])
+        biases = np.array(values[:len(db.entities)])
+        store = EmbeddingStore(db.entities, db.relations, vectors, enable_biases=enable_biases,
+                               biases=biases, offsets=np.array([5e-324]))
+        path = tmp_path / "m.rfm"
+        save_model(store, path)
+
+        def fmt(c):
+            return format(c, ".17g")
+
+        expected = [f"relfactor-model v1 k={k} biases={int(enable_biases)}",
+                    "type user", "type business", "relation R user business"]
+        for ent in db.entities:
+            b = fmt(biases[ent.index]) if enable_biases else "0"
+            coords = " ".join(fmt(c) for c in vectors[ent.index])
+            expected.append(f"{ent.type}:{ent.id}\tb={b}\t{coords}")
+        if enable_biases:
+            expected.append(f"offset R {fmt(5e-324)}")
+        assert path.read_text().split("\n") == expected + [""]
+
+        loaded = load_model(path)
+        assert [e.key for e in loaded.entities] == [e.key for e in db.entities]
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        if enable_biases:
+            assert loaded.biases.tobytes() == biases.tobytes()
+            assert loaded.offsets.tobytes() == store.offsets.tobytes()
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "m.rfm"
         path.write_text("relfactor-model v9 k=2 biases=0\n")

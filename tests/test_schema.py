@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from relfactor.errors import DataError
 from relfactor.schema import (build_database, degree_stats, lookup,
-                              parse_manifest, read_tuple_stream)
+                              parse_manifest, read_tuple_stream, tuple_line_template)
 
 from conftest import RICH_MANIFEST, TWO_TYPE_MANIFEST
 
@@ -193,3 +193,15 @@ class TestTupleStreamFiles:
         path.write_text("R\tu1\tb1\t2\n")
         with pytest.raises(DataError, match="label"):
             list(read_tuple_stream(path, simple_manifest))
+
+    @pytest.mark.parametrize("flag,line", [("", "R%s\tu%d\tb{0}\t1\n"),
+                                           (" positives_only", "R%s\tu%d\tb{0}\n")])
+    def test_line_template_reads_back(self, tmp_path, flag, line):
+        """A "%" in the relation name or the ids stays literal, and a
+        positives_only relation writes the 3-column form."""
+        manifest = parse_manifest(f"type user\ntype business\nrelation R%s user business{flag}\n")
+        template = tuple_line_template(manifest.relations["R%s"])
+        assert template % ("u%d", "b{0}", 1) == line
+        path = tmp_path / "R.tsv"
+        path.write_text(line)
+        assert list(read_tuple_stream(path, manifest)) == [("R%s", "u%d", "b{0}", 1)]
