@@ -28,31 +28,38 @@ def nearest_neighbors(store: EmbeddingStore, entity_type: str, entity_id: str,
                       n: int, metric: str = "cosine",
                       type_filter: Optional[str] = None) -> NeighborResult:
     """Top-n entities by dot or cosine similarity to the query, query
-    excluded, ties broken by registration order."""
+    excluded, ties broken by registration order. A zero-norm candidate
+    scores 0 under cosine."""
     if n < 1:
         raise DataError("n must be >= 1")
     if metric not in ("dot", "cosine"):
         raise DataError(f"unknown metric {metric!r}")
     query = store.entities.get(entity_type, entity_id)
     q = store.vectors[query.index]
-    if metric == "cosine":
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            raise DataError(f"zero-vector query {entity_type}:{entity_id} under cosine metric")
-    candidates = (store.entities.of_type(type_filter) if type_filter is not None
-                  else list(store.entities))
-    candidates = [e for e in candidates if e.index != query.index]
-    if not candidates:
-        return NeighborResult(query, [], metric)
-    idx = np.array([e.index for e in candidates], dtype=np.int64)
-    mat = store.vectors[idx]
-    scores = mat @ q
-    if metric == "cosine":
-        norms = np.linalg.norm(mat, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # coordinates near the float limit give inf or NaN scores, which rank
+    # like any other (NaN last), so overflow is not warned about
+    with np.errstate(all="ignore"):
+        if metric == "cosine":
+            qn = float(np.linalg.norm(q))
+            if qn == 0.0:
+                raise DataError(f"zero-vector query {entity_type}:{entity_id} under cosine metric")
+        idx = (store.entities.indices(type_filter) if type_filter is not None
+               else np.arange(len(store.entities)))
+        idx = idx[idx != query.index]
+        mat = store.vectors[idx]
+        scores = mat @ q
+        if metric == "cosine":
+            norms = np.linalg.norm(mat, axis=1)
             scores = np.where(norms > 0.0, scores / (norms * qn), 0.0)
-    top = np.lexsort((idx, -scores))[:n]
-    return NeighborResult(query, [(candidates[t], float(scores[t])) for t in top], metric)
+    # rank only the candidates that can reach the top n: everything not
+    # strictly below the n-th best, which keeps boundary ties and NaN
+    neg = -scores
+    keep = np.arange(len(neg))
+    if len(neg) > n:
+        keep = np.flatnonzero(~(neg > np.partition(neg, n - 1)[n - 1]))
+    top = keep[np.lexsort((idx[keep], neg[keep]))[:n]]
+    return NeighborResult(query, [(store.entities.at(i), s) for i, s in
+                                  zip(idx[top].tolist(), scores[top].tolist())], metric)
 
 
 def project_2d(store: EmbeddingStore,

@@ -117,13 +117,17 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
 
 
 class EntityRegistry:
-    """Entities keyed by (type, id) with dense per-type ordinals."""
+    """Entities keyed by (type, id) with dense per-type ordinals.
+
+    Append-only: an entity's ordinal and index never change once registered.
+    """
 
     def __init__(self, entity_types: Iterable[str]):
         self._types = list(entity_types)
         self._by_key: dict[tuple[str, str], Entity] = {}
         self._by_type: dict[str, list[Entity]] = {t: [] for t in self._types}
         self._all: list[Entity] = []
+        self._indices: dict[str, np.ndarray] = {}
 
     def register(self, etype: str, eid: str) -> Entity:
         key = (etype, eid)
@@ -153,6 +157,22 @@ class EntityRegistry:
         if etype not in self._by_type:
             raise DataError(f"unknown entity type {etype!r}")
         return self._by_type[etype]
+
+    def indices(self, etype: str) -> np.ndarray:
+        """Global indices of etype's entities in registration order, as a
+        read-only int64 array. Built on first use and rebuilt once the type
+        has grown since."""
+        ents = self.of_type(etype)
+        array = self._indices.get(etype)
+        if array is None or len(array) != len(ents):
+            array = np.fromiter((e.index for e in ents), dtype=np.int64, count=len(ents))
+            array.flags.writeable = False
+            self._indices[etype] = array
+        return array
+
+    def at(self, index: int) -> Entity:
+        """The entity with global index ``index``."""
+        return self._all[index]
 
     @property
     def types(self) -> list[str]:

@@ -157,8 +157,8 @@ class _CellPool:
     def __init__(self, db: Database, relation: str):
         rel = db.relation(relation)
         self.name = relation
-        self.rows = np.array([e.index for e in db.entities.of_type(rel.row_type)], dtype=np.int64)
-        self.cols = np.array([e.index for e in db.entities.of_type(rel.col_type)], dtype=np.int64)
+        self.rows = db.entities.indices(rel.row_type)
+        self.cols = db.entities.indices(rel.col_type)
         if not len(self.rows) or not len(self.cols):
             raise DataError(f"relation {relation}: empty row or column entity population")
         self.n = len(db.entities)

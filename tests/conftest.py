@@ -143,6 +143,8 @@ MALFORMED_MODELS = {
         "undeclared entity type 'shop'"),
     "duplicate-entity": (_edit_line("user:u1\t", lambda l: [l, l]),
                          r"m\.rfm:6: duplicate entity user:u1"),
+    "empty-entity-id": (_edit_line("user:u1\t", lambda l: [l.replace("user:u1", "user:", 1)]),
+                        r"m\.rfm:5: empty entity id"),
     "nan-coordinate": (_edit_line("user:u1\t", _set_last_token("nan")),
                        r"m\.rfm:5: non-finite"),
     "inf-bias": (_edit_line("user:u1\t", _set_bias("inf")), r"m\.rfm:5: non-finite"),

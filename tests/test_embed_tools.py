@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relfactor.embed_tools import nearest_neighbors, project_2d
 from relfactor.errors import DataError
@@ -93,6 +96,81 @@ class TestNearestNeighbors:
         store = make_store(vectors)
         result = nearest_neighbors(store, "word", "w0", n=19, metric="cosine")
         assert all(-1.0 - 1e-12 <= s <= 1.0 + 1e-12 for _, s in result.neighbors)
+
+
+def reference_neighbors(store, entity_type, entity_id, n, metric, type_filter):
+    """Ranking by one full lexsort over every candidate, the algorithm that
+    nearest_neighbors' partition top-n must reproduce exactly."""
+    if n < 1:
+        raise DataError("n must be >= 1")
+    if metric not in ("dot", "cosine"):
+        raise DataError(f"unknown metric {metric!r}")
+    query = store.entities.get(entity_type, entity_id)
+    q = store.vectors[query.index]
+    with np.errstate(all="ignore"):
+        if metric == "cosine":
+            qn = float(np.linalg.norm(q))
+            if qn == 0.0:
+                raise DataError(f"zero-vector query {entity_type}:{entity_id} under cosine metric")
+        candidates = (store.entities.of_type(type_filter) if type_filter is not None
+                      else list(store.entities))
+        candidates = [e for e in candidates if e.index != query.index]
+        if not candidates:
+            return []
+        idx = np.array([e.index for e in candidates], dtype=np.int64)
+        mat = store.vectors[idx]
+        scores = mat @ q
+        if metric == "cosine":
+            norms = np.linalg.norm(mat, axis=1)
+            scores = np.where(norms > 0.0, scores / (norms * qn), 0.0)
+    top = np.lexsort((idx, -scores))[:n]
+    return [(candidates[t], float(scores[t])) for t in top]
+
+
+# few distinct values, so that vectors repeat and scores tie; near 1e200 a
+# dot product overflows to inf, and inf - inf gives NaN
+_COORDS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e200, -1e200])
+           | st.floats(-1e200, 1e200))
+
+
+@st.composite
+def neighbor_cases(draw):
+    k = draw(st.sampled_from([1, 2, 3, 30]))
+    # seeded normal draws round like trained vectors do, which the sampled
+    # coordinates, mostly exact in binary, seldom exercise
+    vector = (st.lists(_COORDS, min_size=k, max_size=k)
+              | st.integers(0, 2**32 - 1).map(
+                  lambda seed: np.random.default_rng(seed).normal(size=k).tolist()))
+    pool = draw(st.lists(vector, min_size=1, max_size=4))
+    types = draw(st.lists(st.sampled_from(["word", "category"]), min_size=1, max_size=12))
+    vectors = {(t, f"e{i}"): draw(st.sampled_from(pool + [[0.0] * k]))
+               for i, t in enumerate(types)}
+    query = draw(st.sampled_from(sorted(vectors)))
+    return (vectors, query, draw(st.integers(1, len(types) + 2)),
+            draw(st.sampled_from(["dot", "cosine"])),
+            draw(st.sampled_from([None, "word", "category", "tag"])))
+
+
+def _bits(ranking):
+    # float.hex is exact, tells -0.0 from 0.0 and spells every NaN "nan"
+    return [(e, s.hex()) for e, s in ranking]
+
+
+class TestNeighborRankingMatchesFullSort:
+    @settings(max_examples=300, deadline=None)
+    @given(neighbor_cases())
+    def test_same_entities_order_and_score_bits(self, case):
+        vectors, (qtype, qid), n, metric, type_filter = case
+        store = make_store(vectors, "type word\ntype category\ntype tag\n"
+                                    "relation CW category word positives_only\n")
+        try:
+            expected = _bits(reference_neighbors(store, qtype, qid, n, metric, type_filter))
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                nearest_neighbors(store, qtype, qid, n, metric, type_filter)
+            return
+        result = nearest_neighbors(store, qtype, qid, n, metric, type_filter)
+        assert _bits(result.neighbors) == expected
 
 
 class TestProject2d:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from relfactor.embed_tools import nearest_neighbors
 from relfactor.errors import DataError
+from relfactor.model import EmbeddingStore
 from relfactor.schema import (build_database, degree_stats, lookup,
                               parse_manifest, read_tuple_stream, tuple_line_template)
 
@@ -116,6 +118,45 @@ class TestBuildDatabase:
         m2 = parse_manifest(TWO_TYPE_MANIFEST)
         permuted = build_database(m2, [stream[i] for i in perm])
         assert set(base.iter_tuples("R")) == set(permuted.iter_tuples("R"))
+
+
+class TestEntityIndices:
+    def assert_matches_of_type(self, registry):
+        for t in registry.types:
+            assert registry.indices(t).dtype == np.int64
+            assert registry.indices(t).tolist() == [e.index for e in registry.of_type(t)]
+
+    def test_census_and_interleaved_stream(self, rich_manifest):
+        stream = [("BW", "b1", "w1", 1), ("R", "u1", "b2", 1), ("UW", "u2", "w2", 1),
+                  ("C", "b3", "c1", 1), ("R", "u3", "b1", 0), ("BW", "b4", "w1", 1)]
+        db = build_database(rich_manifest, stream,
+                            census=[("word", "w9"), ("user", "u1"), ("business", "b9")])
+        self.assert_matches_of_type(db.entities)
+        assert [db.entities.at(i) for i in db.entities.indices("business")] == \
+            db.entities.of_type("business")
+
+    def test_rebuilt_after_type_grows(self, rich_manifest):
+        db = build_database(rich_manifest, [("R", "u1", "b1", 1), ("C", "b1", "c1", 1)])
+        assert db.entities.indices("user").tolist() == [0]
+        db.entities.register("word", "w1")
+        db.entities.register("user", "u2")
+        self.assert_matches_of_type(db.entities)
+        assert db.entities.indices("user").tolist() == [0, 4]
+
+    def test_type_without_entities(self, rich_manifest):
+        db = build_database(rich_manifest, [("R", "u1", "b1", 1), ("R", "u2", "b1", 0)])
+        assert db.entities.indices("word").tolist() == []
+        store = EmbeddingStore(db.entities, db.relations, np.ones((len(db.entities), 2)))
+        result = nearest_neighbors(store, "user", "u1", n=3, type_filter="word")
+        assert result.neighbors == []
+
+    def test_returned_array_is_read_only(self, simple_db):
+        with pytest.raises(ValueError, match="read-only"):
+            simple_db.entities.indices("user")[0] = 7
+
+    def test_unknown_type_rejected(self, simple_db):
+        with pytest.raises(DataError, match="unknown entity type"):
+            simple_db.entities.indices("shop")
 
 
 class TestLookup:
