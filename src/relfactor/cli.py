@@ -280,12 +280,12 @@ def _cmd_project(args) -> str:
 
 def _cmd_export_vectors(args) -> str:
     store = load_model(args.model)
-    rows = []
-    for ent in store.entities:
-        coords = "\t".join(format(c, ".17g") for c in store.vectors[ent.index])
-        rows.append(f"{ent.type}:{ent.id}\t{coords}")
-    _write_atomic(args.out, "".join(r + "\n" for r in rows))
-    return f"exported {len(rows)} vectors of dimension {store.k}"
+    # one %-format per entity, as in save_model; "%.17g" writes what
+    # format(c, ".17g") does, and ids go in as arguments
+    row = "%s:%s\t" + "\t".join(["%.17g"] * store.k) + "\n"
+    _write_atomic(args.out, "".join(row % (ent.type, ent.id, *coords) for ent, coords
+                                    in zip(store.entities, store.vectors.tolist())))
+    return f"exported {len(store.entities)} vectors of dimension {store.k}"
 
 
 # --- parser -------------------------------------------------------------------

@@ -1,14 +1,18 @@
-/* One SGD epoch of relfactor.train over int64 columns, in example order.
+/* The compiled kernels of relfactor: run_epoch, one SGD epoch of train(),
+ * and parse_rows, the number parser of load_model().
  *
- * Each step is the update rule of train.py, operation for operation as the
- * Python reference train._apply_update performs it: a dot product summed in
- * index order, the stable sigmoid, both deltas taken from pre-step values,
- * then the bias and offset updates. Built with -O2 -ffp-contract=off and
- * without -ffast-math, so no multiply-add is fused and no sum reordered, and
- * the results equal the Python loop's bit for bit.
+ * run_epoch runs the epoch over int64 columns, in example order. Each step
+ * is the update rule of train.py, operation for operation as the Python
+ * reference train._apply_update performs it: a dot product summed in index
+ * order, the stable sigmoid, both deltas taken from pre-step values, then
+ * the bias and offset updates. Built with -O2 -ffp-contract=off and without
+ * -ffast-math, so no multiply-add is fused and no sum reordered, and the
+ * results equal the Python loop's bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 static double sigmoid(double s)
 {
@@ -56,4 +60,80 @@ int64_t run_epoch(double *V, int64_t k, double *b, double *g,
             return t;
     }
     return -1;
+}
+
+/* parse_rows: the bias and coordinates of every entity line of a model file,
+ * read with strtod. A number is accepted only when it is a run of
+ * [0-9.eE+-] of at most TOKEN_MAX bytes that strtod reads whole, is finite
+ * and ends at its separator. On that grammar glibc strtod and Python float()
+ * both round correctly, so an accepted number has the bits float() gives it.
+ * Anything else (hex, nan, inf, blanks, underscores, or a numeric locale
+ * whose decimal point is not ".") refuses the line. */
+#define TOKEN_MAX 40
+
+static int is_number_char(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
+}
+
+/* Reads the number at *p into *out and moves *p past the separator sep that
+ * must follow it; a '\n' separator may also be the end of the text.
+ * The token is copied out first, so strtod never reads past it. */
+static int read_number(const char **p, const char *end, char sep, double *out)
+{
+    const char *s = *p, *t = s;
+    while (t < end && t - s <= TOKEN_MAX && is_number_char(*t))
+        t++;
+    size_t n = (size_t)(t - s);
+    if (n == 0 || n > TOKEN_MAX || (t < end ? *t != sep : sep != '\n'))
+        return 0;
+    char token[TOKEN_MAX + 1], *stop;
+    memcpy(token, s, n);
+    token[n] = '\0';
+    double x = strtod(token, &stop);
+    if (stop != token + n || !isfinite(x))
+        return 0;
+    *out = x;
+    *p = t < end ? t + 1 : t;
+    return 1;
+}
+
+/* text[start:len] holds the entity and offset lines of a model file, lines
+ * split at '\n'. Empty lines and lines starting with "offset " are skipped;
+ * every other line must read "<key>\tb=<bias>\t<c1> <c2> ... <ck>" with no
+ * tab in the key. Row r's bias goes to biases[r] and its coordinates to row
+ * r of vectors, which is (n_rows, k) row-major. Returns n_rows when every
+ * line was read, else the row of the first refused line, or -1 when there
+ * are more than n_rows entity lines. */
+int64_t parse_rows(const char *text, int64_t start, int64_t len, int64_t k,
+                   double *biases, double *vectors, int64_t n_rows)
+{
+    const char *p = text + (start < len ? start : len), *end = text + len;
+    int64_t row = 0;
+    while (p < end) {
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (end - p >= 7 && memcmp(p, "offset ", 7) == 0) {
+            const char *nl = memchr(p, '\n', (size_t)(end - p));
+            p = nl ? nl + 1 : end;
+            continue;
+        }
+        if (row == n_rows)
+            return -1;
+        while (p < end && *p != '\t' && *p != '\n')
+            p++;
+        if (end - p < 3 || p[0] != '\t' || p[1] != 'b' || p[2] != '=')
+            return row;
+        p += 3;
+        if (!read_number(&p, end, '\t', biases + row))
+            return row;
+        double *v = vectors + row * k;
+        for (int64_t d = 0; d < k; d++)
+            if (!read_number(&p, end, d + 1 < k ? ' ' : '\n', v + d))
+                return row;
+        row++;
+    }
+    return row;
 }

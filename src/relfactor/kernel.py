@@ -1,6 +1,7 @@
-"""Loader of the compiled SGD epoch kernel, ``kernel.c``.
+"""Loader of the compiled kernels, ``kernel.c``: the SGD epoch of train()
+and the number parser of load_model().
 
-The kernel is compiled on first use, with sysconfig's CC or else ``cc`` or
+The library is compiled on first use, with sysconfig's CC or else ``cc`` or
 ``gcc`` on PATH, and cached per user in ``$XDG_CACHE_HOME/relfactor`` (else
 ``~/.cache/relfactor``), or else in a private directory under the system
 temp directory. The cached file is named by the sha256 of the source, the
@@ -8,9 +9,10 @@ flags and the machine, so it is built once per machine and rebuilt when the
 source changes. A cache directory is used only when it is a directory owned
 by the current user that no one else can write to.
 
-``epoch_kernel()`` returns None when there is no compiler, the compile
-fails, no cache directory is usable or the library does not load; train()
-then runs the Python reference loop, which gives the same numbers.
+``epoch_kernel()`` and ``row_parser()`` return None when there is no
+compiler, the compile fails, no cache directory is usable or the library
+does not load; train() and load_model() then run their Python reference
+loops, which give the same numbers and the same errors.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import stat
 import tempfile
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +36,12 @@ COMPILE_TIMEOUT_S = 120
 CACHE_DIR: Optional[Path] = None  # when set, the only cache directory tried
 
 EpochKernel = Callable[..., int]
+RowParser = Callable[[bytes, int, int, int], Optional[tuple[np.ndarray, np.ndarray]]]
+
+
+class Library(NamedTuple):
+    run_epoch: EpochKernel
+    parse_rows: RowParser
 
 
 # The compile path imports shlex, subprocess and sysconfig itself: a process
@@ -101,11 +109,15 @@ def _compile(cc: list[str], source: bytes, target: Path) -> bool:
             os.unlink(tmp)
 
 
-def _open(path: Path) -> Optional[EpochKernel]:
+def _open(path: Path) -> Optional[Library]:
     try:
-        fn = ctypes.CDLL(str(path)).run_epoch
+        lib = ctypes.CDLL(str(path))
+        return Library(_epoch(lib.run_epoch), _rows(lib.parse_rows))
     except (OSError, AttributeError):
         return None
+
+
+def _epoch(fn) -> EpochKernel:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     fn.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, ptr]
     fn.restype = i64
@@ -142,9 +154,28 @@ def _open(path: Path) -> Optional[EpochKernel]:
     return run_epoch
 
 
-def load() -> Optional[EpochKernel]:
-    """The compiled kernel from the cache, compiling it if needed; None when
-    it cannot be had."""
+def _rows(fn) -> RowParser:
+    i64 = ctypes.c_int64
+    fn.argtypes = [ctypes.c_char_p, i64, i64, i64, ctypes.c_void_p, ctypes.c_void_p, i64]
+    fn.restype = i64
+
+    def parse_rows(data: bytes, start: int, k: int,
+                   n_rows: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Biases (n_rows,) and vectors (n_rows, k) of the entity lines of
+        the model-file text data from byte start on, or None when a line is
+        refused or there are not n_rows of them. See parse_rows in kernel.c
+        for the lines and numbers it accepts."""
+        if not isinstance(data, bytes) or k < 1 or n_rows < 0 or start < 0:
+            raise ValueError("data must be bytes, k positive, n_rows and start nonnegative")
+        biases, vectors = np.empty(n_rows), np.empty((n_rows, k))
+        done = fn(data, start, len(data), k, biases.ctypes.data, vectors.ctypes.data, n_rows)
+        return (biases, vectors) if done == n_rows else None
+    return parse_rows
+
+
+def load() -> Optional[Library]:
+    """The compiled library from the cache, compiling it if needed; None
+    when it cannot be had."""
     if os.name != "posix":
         return None
     directory = cache_dir()
@@ -157,9 +188,9 @@ def load() -> Optional[EpochKernel]:
     key = b"\0".join([source, " ".join(FLAGS).encode(), platform.machine().encode()])
     path = directory / f"kernel-{hashlib.sha256(key).hexdigest()[:24]}.so"
     if path.exists():
-        kernel = _open(path)
-        if kernel is not None:
-            return kernel
+        library = _open(path)
+        if library is not None:
+            return library
     cc = find_compiler()
     if cc is None or not _compile(cc, source, path):
         return None
@@ -167,6 +198,17 @@ def load() -> Optional[EpochKernel]:
 
 
 @functools.cache
-def epoch_kernel() -> Optional[EpochKernel]:
-    """load(), once per process."""
+def library() -> Optional[Library]:
+    """load(), once per process: on the first train() or load_model(), never
+    at import."""
     return load()
+
+
+def epoch_kernel() -> Optional[EpochKernel]:
+    lib = library()
+    return None if lib is None else lib.run_epoch
+
+
+def row_parser() -> Optional[RowParser]:
+    lib = library()
+    return None if lib is None else lib.parse_rows

@@ -7,6 +7,7 @@ sigmoid(dot(v1, v2) [+ b1 + b2 + g_rel when biases are enabled]).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from typing import Iterable, Optional, Sequence
@@ -14,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
+from .kernel import RowParser, row_parser
 from .rng import substream
 from .schema import (Database, EntityRegistry, LabeledCell, Manifest, Relation,
                      format_manifest, parse_manifest, read_text)
@@ -223,9 +225,16 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
 
 def load_model(path: str | os.PathLike) -> EmbeddingStore:
     """Read a model written by save_model. Malformed content, duplicate
-    entities and non-finite values raise DataError."""
+    entities and non-finite values raise DataError.
+
+    The numbers of the entity lines are parsed by the compiled library when
+    it is available (kernel.row_parser); a file it refuses in any way, and
+    every file when it is not available, goes through _python_rows, which
+    gives the same bits and reports each fault.
+    """
+    text = read_text(path)
     # split at "\n" only: entity ids may hold characters splitlines() breaks at
-    lines = read_text(path).split("\n")
+    lines = text.split("\n")
     header = lines[0].split()
     if len(header) < 4 or header[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a relfactor model file")
@@ -250,6 +259,82 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
+    # From here on, lines and the UTF-8 bytes for the compiled parser hold
+    # the file: text is dropped, and the bytes once that parser has run.
+    parse_rows = row_parser()
+    data = None if parse_rows is None else text.encode("utf-8")
+    del text
+    loaded = None if data is None else _compiled_rows(parse_rows, data, lines, end, manifest,
+                                                      k, enable_biases)
+    del data
+    if loaded is None:
+        loaded = _python_rows(path, lines, end, manifest, k, enable_biases)
+    registry, vectors, biases, offsets = loaded
+    offset_array = np.array([offsets.get(name, 0.0) for name in manifest.relations])
+    return EmbeddingStore(registry, manifest.relations, vectors, enable_biases=enable_biases,
+                          biases=biases, offsets=offset_array)
+
+
+def _read_offset(line: str, manifest: Manifest, offsets: dict[str, float],
+                 enable_biases: bool) -> Optional[str]:
+    """Store the value of an offset line in offsets; returns what is wrong
+    with the line, if anything. A malformed value raises ValueError."""
+    if not enable_biases:
+        return "offset line in a model without biases"
+    parts = line.split()
+    if len(parts) != 3:
+        return "malformed offset line"
+    if parts[1] not in manifest.relations:
+        return f"offset of undeclared relation {parts[1]!r}"
+    if parts[1] in offsets:
+        return f"duplicate offset of relation {parts[1]!r}"
+    offsets[parts[1]] = float(parts[2])
+    if not math.isfinite(offsets[parts[1]]):
+        return "non-finite offset"
+    return None
+
+
+# registry, vectors, biases and offsets by name, as the entity and offset
+# lines of a model file give them
+_Rows = tuple[EntityRegistry, np.ndarray, np.ndarray, dict[str, float]]
+
+
+def _compiled_rows(parse_rows: RowParser, data: bytes, lines: list[str], end: int,
+                   manifest: Manifest, k: int, enable_biases: bool) -> Optional[_Rows]:
+    """The rows of lines[end:], their numbers parsed by parse_rows over data,
+    the file's UTF-8 text; None when any line is at fault, for _python_rows
+    to report."""
+    registry = EntityRegistry(manifest.entity_types)
+    register, types = registry.register, set(manifest.entity_types)
+    offsets: dict[str, float] = {}
+    n = 0
+    for line in itertools.islice(lines, end, None):
+        if not line:
+            continue
+        if line.startswith("offset "):
+            try:
+                if _read_offset(line, manifest, offsets, enable_biases) is not None:
+                    return None
+            except ValueError:
+                return None
+            continue
+        # parse_rows refuses a line without a tab, whatever this key is then
+        etype, _, eid = line[:line.find("\t")].partition(":")
+        if etype not in types or not eid or register(etype, eid).index != n:
+            return None
+        n += 1
+    start = len("\n".join(lines[:end]).encode("utf-8")) + 1
+    parsed = parse_rows(data, start, k, n)
+    if parsed is None or (not enable_biases and parsed[0].any()):
+        return None
+    biases, vectors = parsed
+    return registry, vectors, biases, offsets
+
+
+def _python_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: Manifest,
+                 k: int, enable_biases: bool) -> _Rows:
+    """_compiled_rows in Python, one float() per number: the reference, and
+    the loop that names the file and line of the first fault."""
     keys: list[tuple[str, str]] = []
     biases: list[float] = []
     rows: list[list[float]] = []
@@ -260,18 +345,9 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
             if not line:
                 continue
             if line.startswith("offset "):
-                if not enable_biases:
-                    raise DataError(f"{path}:{lineno}: offset line in a model without biases")
-                parts = line.split()
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: malformed offset line")
-                if parts[1] not in manifest.relations:
-                    raise DataError(f"{path}:{lineno}: offset of undeclared relation {parts[1]!r}")
-                if parts[1] in offsets:
-                    raise DataError(f"{path}:{lineno}: duplicate offset of relation {parts[1]!r}")
-                offsets[parts[1]] = float(parts[2])
-                if not math.isfinite(offsets[parts[1]]):
-                    raise DataError(f"{path}:{lineno}: non-finite offset")
+                fault = _read_offset(line, manifest, offsets, enable_biases)
+                if fault is not None:
+                    raise DataError(f"{path}:{lineno}: {fault}")
                 continue
             cells = line.split("\t")
             if len(cells) != 3 or not cells[1].startswith("b="):
@@ -293,18 +369,15 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
     # Entities register once every line has parsed, so a malformed line is
     # reported before an empty or duplicate id on an earlier line.
     registry = EntityRegistry(manifest.entity_types)
-    for (etype, eid), lineno in zip(keys, row_lines):
+    for n, ((etype, eid), lineno) in enumerate(zip(keys, row_lines)):
         if not eid:
             raise DataError(f"{path}:{lineno}: empty entity id")
-        if registry.find(etype, eid) is not None:
+        if registry.register(etype, eid).index != n:
             raise DataError(f"{path}:{lineno}: duplicate entity {etype}:{eid}")
-        registry.register(etype, eid)
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), k)
     bias_array = np.array(biases, dtype=np.float64)
     finite = np.isfinite(vectors).all(axis=1) & np.isfinite(bias_array)
     if not finite.all():
         lineno = row_lines[int(np.argmin(finite))]
         raise DataError(f"{path}:{lineno}: non-finite bias or coordinate")
-    offset_array = np.array([offsets.get(name, 0.0) for name in manifest.relations])
-    return EmbeddingStore(registry, manifest.relations, vectors, enable_biases=enable_biases,
-                          biases=bias_array, offsets=offset_array)
+    return registry, vectors, bias_array, offsets

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -20,15 +22,27 @@ def pytest_terminal_summary(terminalreporter):
 HAS_COMPILER = kernel.find_compiler() is not None
 
 
+@contextlib.contextmanager
+def without_library(empty_cache):
+    """Inside, the compiled library cannot be had: there is no compiler and
+    the cache directory empty_cache is empty, so train() and load_model()
+    run their Python reference loops."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "CACHE_DIR", empty_cache)
+        mp.setattr(kernel, "find_compiler", lambda: None)
+        kernel.library.cache_clear()
+        try:
+            yield
+        finally:
+            kernel.library.cache_clear()
+
+
 @pytest.fixture
-def python_only(monkeypatch, tmp_path):
-    """After this is called, train() finds no compiler and an empty cache."""
-    def switch():
-        monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path / "empty-cache")
-        monkeypatch.setattr(kernel, "find_compiler", lambda: None)
-        kernel.epoch_kernel.cache_clear()
-    yield switch
-    kernel.epoch_kernel.cache_clear()
+def python_only(tmp_path):
+    """After this is called, train() and load_model() find no compiler and
+    an empty cache."""
+    with contextlib.ExitStack() as stack:
+        yield lambda: stack.enter_context(without_library(tmp_path / "empty-cache"))
 
 
 TWO_TYPE_MANIFEST = """\
@@ -155,6 +169,8 @@ MALFORMED_MODELS = {
                          r"m\.rfm:10: duplicate offset of relation 'R'"),
     "malformed-number": (_edit_line("user:u1\t", _set_last_token("0.5x")),
                          r"m\.rfm:5: malformed number"),
+    "bias-field-not-b": (_edit_line("business:b1\t", lambda l: [l.replace("\tb=", "\tc=", 1)]),
+                         r"m\.rfm:6: malformed entity line"),
     "bias-without-biases": (
         _edit_line("relfactor-model", lambda l: [l.replace("biases=1", "biases=0")]),
         r"m\.rfm:5: nonzero bias in a model without biases"),

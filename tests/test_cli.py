@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from relfactor.cli import main
-from relfactor.model import load_model
+from relfactor.model import EmbeddingStore, load_model, save_model
+from relfactor.schema import build_database
 
 from conftest import MALFORMED_MODELS, RAW_INPUTS, write_model
 
@@ -276,6 +278,20 @@ class TestEmbedCli:
         lines = vectors.read_text().splitlines()
         assert len(lines) == len(store.entities)
         assert len(lines[0].split("\t")) == 1 + store.k
+
+    def test_export_lines_match_per_value_format(self, simple_manifest, tmp_path):
+        # ids holding %-format fields, and values whose %.17g is unusual
+        db = build_database(simple_manifest, [("R", "u%s", "b%%d", 1), ("R", "u2", "b1", 0)])
+        values = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -3.0]
+        vectors = np.array([np.roll(values, i) for i in range(len(db.entities))])
+        model_path = tmp_path / "m.rfm"
+        save_model(EmbeddingStore(db.entities, db.relations, vectors), model_path)
+        out = tmp_path / "vectors.tsv"
+        assert run("export-vectors", "--model", str(model_path), "--out", str(out)) == 0
+        expected = "".join(
+            f"{ent.type}:{ent.id}\t" + "\t".join(format(c, ".17g") for c in vectors[ent.index])
+            + "\n" for ent in db.entities)
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestIngestCli:

@@ -176,7 +176,7 @@ def test_compiler_lookup_falls_through_to_path(monkeypatch):
 
 @needs_compiler
 def test_kernel_rejects_bad_arrays():
-    run_epoch = kernel.load()
+    run_epoch = kernel.load().run_epoch
     vectors = np.zeros((3, 2))
     cells = [np.array([0]), np.array([0]), np.array([2]), np.array([1])]  # rel, row, col, label
     assert run_epoch(vectors, None, None, *cells, 0.1, 0.0) == -1

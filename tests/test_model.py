@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfactor import model
+from relfactor import kernel, model
 from relfactor.errors import DataError
 from relfactor.evaluation import classify, evaluate, f1_report
 from relfactor.model import (EmbeddingStore, init_embeddings, load_model,
@@ -13,7 +14,8 @@ from relfactor.model import (EmbeddingStore, init_embeddings, load_model,
                              sigmoid, sigmoid_array)
 from relfactor.schema import build_database, parse_manifest
 
-from conftest import MALFORMED_MODELS, write_model
+from conftest import (MALFORMED_MODELS, _set_bias, _set_last_token, without_library,
+                      write_model)
 
 
 def store_with(db, assignments, k, enable_biases=False):
@@ -384,13 +386,150 @@ class TestPersistence:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
     def test_malformed_model_rejected(self, case, model_lines, tmp_path):
+        """The same error with and without the compiled row parser."""
         mutate, match = MALFORMED_MODELS[case]
         path = write_model(tmp_path / "m.rfm", mutate(model_lines))
-        with pytest.raises(DataError, match=match):
-            load_model(path)
+        compiled, python = both_paths(path, tmp_path)
+        assert isinstance(compiled, str) and re.search(match, compiled)
+        assert compiled == python
 
     def test_non_utf8_model_rejected(self, tmp_path):
         path = tmp_path / "m.rfm"
         path.write_bytes(b"relfactor-model v1 k=2 biases=0\ntype \xff\n")
         with pytest.raises(DataError, match="UTF-8"):
             load_model(path)
+
+
+# --- the compiled row parser against the Python reference loop ----------------
+
+def load_outcome(path):
+    """What load_model makes of path: entity keys and parameter bytes, or
+    the text of the DataError it raises."""
+    try:
+        store = load_model(path)
+    except DataError as exc:
+        return str(exc)
+    return ([e.key for e in store.entities], store.vectors.tobytes(),
+            None if store.biases is None else store.biases.tobytes(),
+            None if store.offsets is None else store.offsets.tobytes())
+
+
+def both_paths(path, directory):
+    """load_outcome of path with the compiled library, then without it."""
+    compiled = load_outcome(path)
+    with without_library(directory / "empty-cache"):
+        return compiled, load_outcome(path)
+
+
+# tokens that float() and strtod read alike, that only float() reads, that
+# neither reads, or that are not finite
+TOKEN_MUTATIONS = ["-0.0", "5e-324", "1.7976931348623157e308", "+1.5", "1.", ".5", "1_0",
+                   "0x1p3", "nan", "inf", "1e999", "1e", "-", ""]
+MUTATIONS = TOKEN_MUTATIONS + ["space before", "space after"]
+
+
+@st.composite
+def random_stores(draw):
+    """A store of k 1-30 with biases on or off, over entities with random
+    ids, holding any finite floats."""
+    k = draw(st.integers(1, 30))
+    manifest = parse_manifest("type user\ntype item\nrelation R user item\n"
+                              "relation S item item\n")
+    ids = draw(st.lists(st.text(st.characters(blacklist_characters="\t\n\r",
+                                              blacklist_categories=["Cs"]), min_size=1,
+                                max_size=4), min_size=2, max_size=6, unique=True))
+    db = build_database(manifest, [("R", ids[0], e, 1) for e in ids[1:]])
+    n = len(db.entities)
+
+    def floats(size):
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=size, max_size=size)))
+    return EmbeddingStore(db.entities, db.relations, floats(n * k).reshape(n, k),
+                          draw(st.booleans()), floats(n), floats(2))
+
+
+def mutate_tokens(lines, draw, first):
+    """Apply the mutation first, then up to two more, each to a drawn number
+    of an entity or offset line: replace it by a token of TOKEN_MUTATIONS,
+    put a space before it ("space before") or after its line ("space after")."""
+    start = next(t for t, line in enumerate(lines) if "\t" in line)
+    for how in [first, *draw(st.lists(st.sampled_from(MUTATIONS), max_size=2))]:
+        t = draw(st.integers(start, len(lines) - 2))
+        offset = lines[t].startswith("offset ")
+        if offset:
+            tokens = lines[t].rsplit(" ", 1)
+        else:
+            key, bias, coords = lines[t].split("\t")
+            tokens = [key, bias[2:], *coords.split(" ")]
+        i = draw(st.integers(1, len(tokens) - 1))
+        if how == "space before":
+            tokens[i] = " " + tokens[i]
+        elif how == "space after":
+            tokens[-1] += " "
+        else:
+            tokens[i] = how
+        lines[t] = (" ".join(tokens) if offset else
+                    f"{tokens[0]}\tb={tokens[1]}\t" + " ".join(tokens[2:]))
+    return lines
+
+
+class TestCompiledRowParser:
+    @pytest.mark.parametrize("first", MUTATIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(store=random_stores(), data=st.data())
+    def test_same_result_as_python_loop(self, first, store, data, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("differential")
+        path = directory / "m.rfm"
+        save_model(store, path)
+        lines = mutate_tokens(path.read_text(encoding="utf-8").split("\n"), data.draw, first)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        compiled, python = both_paths(path, directory)
+        assert compiled == python
+
+    @pytest.mark.parametrize("biases", [False, True])
+    def test_saved_model_loads_without_the_python_loop(self, simple_db, tmp_path, monkeypatch,
+                                                       biases):
+        if kernel.row_parser() is None:
+            pytest.skip("no compiled library")
+        rng = np.random.default_rng(8)
+        n = len(simple_db.entities)
+        store = EmbeddingStore(simple_db.entities, simple_db.relations, rng.normal(size=(n, 4)),
+                               enable_biases=biases, biases=rng.normal(size=n),
+                               offsets=np.array([-0.5]))
+        path = tmp_path / "m.rfm"
+        save_model(store, path)
+        monkeypatch.setattr(model, "_python_rows", None)
+        loaded = load_model(path)
+        assert loaded.vectors.tobytes() == store.vectors.tobytes()
+        assert loaded.vectors.flags.c_contiguous
+        if biases:
+            assert loaded.biases.tobytes() == store.biases.tobytes()
+            assert loaded.offsets.tobytes() == store.offsets.tobytes()
+
+    # model_lines: header and manifest on lines 1-4, entities user:u1,
+    # business:b1, business:b2 and user:u2 on lines 5-8, the offset on line 9
+    @pytest.mark.parametrize("edits, error", [
+        ({5: _set_last_token("0.5x"), 7: lambda l: [l.replace("\t", " ", 1)]},
+         "m.rfm:5: malformed number"),
+        ({5: lambda l: [l.replace("\t", " ", 1)], 7: _set_last_token("0.5x")},
+         "m.rfm:5: malformed entity line"),
+        ({6: lambda l: [l.replace("\tb=", "\tc=", 1)], 8: _set_last_token("1_0x")},
+         "m.rfm:6: malformed entity line"),
+        ({5: lambda l: [l.replace("user:u1", "user:", 1)], 7: _set_bias("1_0x")},
+         "m.rfm:7: malformed number"),
+        ({6: lambda l: [l.replace("business:b1", "user:u1", 1)], 8: _set_last_token("0x1p3")},
+         "m.rfm:8: malformed number"),
+        ({5: lambda l: [l.replace("user:u1", "user:", 1)], 6: lambda l: [l + " 1"]},
+         "m.rfm:6: expected 2 coordinates, got 3"),
+        ({5: _set_last_token("nan"), 9: _set_last_token("1e")}, "m.rfm:9: malformed number"),
+        ({5: _set_last_token("inf"), 8: lambda l: [l.replace("user:u2", "user:", 1)]},
+         "m.rfm:8: empty entity id"),
+    ])
+    def test_first_fault_in_documented_order(self, model_lines, tmp_path, edits, error):
+        lines = list(model_lines)
+        for lineno, edit in edits.items():
+            (lines[lineno - 1],) = edit(lines[lineno - 1])
+        path = write_model(tmp_path / "m.rfm", lines)
+        compiled, python = both_paths(path, tmp_path)
+        assert compiled == python
+        assert compiled.endswith(error)
