@@ -154,7 +154,6 @@ class EvalReport:
     """Per-dataset confusion counts plus pooled (micro) metrics."""
 
     datasets: dict[str, ConfusionCounts] = field(default_factory=dict)
-    threshold: float = 0.5
     pr_points: list[tuple[float, float, float]] = field(default_factory=list)
 
     @property
@@ -185,14 +184,13 @@ class EvalReport:
 
 
 def f1_report(predictions: Sequence[int], labels: Sequence[int],
-              name: str = "test", threshold: float = 0.5) -> EvalReport:
+              name: str = "test") -> EvalReport:
     """Exact confusion counts and P/R/F1 for one prediction/label set."""
     if len(predictions) != len(labels):
         raise DataError("predictions and labels must have equal length")
     if len(labels) == 0:
         raise DataError("empty prediction/label set")
-    return EvalReport(datasets={name: ConfusionCounts.from_arrays(predictions, labels)},
-                      threshold=threshold)
+    return EvalReport(datasets={name: ConfusionCounts.from_arrays(predictions, labels)})
 
 
 def micro_f1(reports: Sequence[EvalReport]) -> EvalReport:
@@ -209,7 +207,7 @@ def micro_f1(reports: Sequence[EvalReport]) -> EvalReport:
                 key = f"{name}#{serial}"
                 serial += 1
             merged[key] = counts
-    return EvalReport(datasets=merged, threshold=reports[0].threshold)
+    return EvalReport(datasets=merged)
 
 
 def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float, float, float]]:
@@ -229,12 +227,8 @@ def pr_curve(scores: Sequence[float], labels: Sequence[int]) -> list[tuple[float
     fp = np.cumsum(y_sorted == 0)
     # one point per distinct threshold: the last position of each score run
     last = np.nonzero(np.append(np.diff(s_sorted) != 0, True))[0]
-    points = []
-    for idx in last:
-        precision = tp[idx] / (tp[idx] + fp[idx])
-        recall = tp[idx] / n_pos
-        points.append((float(precision), float(recall), float(s_sorted[idx])))
-    return points
+    tp, fp = tp[last], fp[last]
+    return list(zip((tp / (tp + fp)).tolist(), (tp / n_pos).tolist(), s_sorted[last].tolist()))
 
 
 def evaluate(store: EmbeddingStore, test_set: Sequence[LabeledCell],
@@ -251,7 +245,7 @@ def evaluate(store: EmbeddingStore, test_set: Sequence[LabeledCell],
     datasets = {names[rel_id]: ConfusionCounts.from_arrays(preds[rel_ids == rel_id],
                                                            labels[rel_ids == rel_id])
                 for rel_id in dict.fromkeys(rel_ids.tolist())}
-    report = EvalReport(datasets=datasets, threshold=threshold)
+    report = EvalReport(datasets=datasets)
     if 0 < int(labels.sum()) < len(labels):
         report.pr_points = pr_curve(scores, labels)
     return report

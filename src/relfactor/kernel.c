@@ -23,14 +23,12 @@ static double sigmoid(double s)
 }
 
 /* V is (n_entities, k) row-major; b (per entity) and g (per relation id) are
- * NULL when biases are off; scratch holds 2k doubles. Returns the index of
- * the first example whose residual is NaN, after applying it, else -1. */
+ * NULL when biases are off. Returns the index of the first example whose
+ * residual is NaN, after applying it, else -1. */
 int64_t run_epoch(double *V, int64_t k, double *b, double *g,
                   const int64_t *rel, const int64_t *rows, const int64_t *cols,
-                  const int64_t *y, int64_t n, double gamma, double lam,
-                  double *scratch)
+                  const int64_t *y, int64_t n, double gamma, double lam)
 {
-    double *d1 = scratch, *d2 = scratch + k;
     for (int64_t t = 0; t < n; t++) {
         int64_t i = rows[t], j = cols[t];
         double *v1 = V + i * k, *v2 = V + j * k;
@@ -40,16 +38,18 @@ int64_t run_epoch(double *V, int64_t k, double *b, double *g,
         if (b)
             s += b[i] + b[j] + g[rel[t]];
         double e = (double)y[t] - sigmoid(s);
-        double ge = gamma * e;
+        double ge = gamma * e, gl = gamma * lam;
+        /* Coordinate d's two deltas read only coordinate d of v1 and v2, so
+         * one loop takes both from pre-step values and applies them at once.
+         * A diagonal cell (i == j) has v1 == v2: d1 and d2 both come from
+         * the pre-step value, and v2[d] += d2 reads v1[d] after d1 is added,
+         * as Python's vectors[i] += d1; vectors[j] += d2 does. */
         for (int64_t d = 0; d < k; d++) {
-            d1[d] = ge * v2[d] - (gamma * lam) * v1[d];
-            d2[d] = ge * v1[d] - (gamma * lam) * v2[d];
+            double a = v1[d], c = v2[d];
+            double d1 = ge * c - gl * a, d2 = ge * a - gl * c;
+            v1[d] = a + d1;
+            v2[d] += d2;
         }
-        /* a diagonal cell (i == j) takes d1, then d2, as in Python */
-        for (int64_t d = 0; d < k; d++)
-            v1[d] += d1[d];
-        for (int64_t d = 0; d < k; d++)
-            v2[d] += d2[d];
         if (b) {
             double bi = b[i], bj = b[j];
             b[i] = bi + gamma * (e - lam * bi);

@@ -9,10 +9,10 @@ flags and the machine, so it is built once per machine and rebuilt when the
 source changes. A cache directory is used only when it is a directory owned
 by the current user that no one else can write to.
 
-``epoch_kernel()`` and ``row_parser()`` return None when there is no
-compiler, the compile fails, no cache directory is usable or the library
-does not load; train() and load_model() then run their Python reference
-loops, which give the same numbers and the same errors.
+``library()`` returns the one ``Library`` of a process, or None when there
+is no compiler, the compile fails, no cache directory is usable or the
+library does not load; train() and load_model() then run their Python
+reference loops, which give the same numbers and the same errors.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _open(path: Path) -> Optional[Library]:
 
 def _epoch(fn) -> EpochKernel:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, ptr]
+    fn.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64]
     fn.restype = i64
 
     def run_epoch(vectors: np.ndarray, biases: Optional[np.ndarray],
@@ -144,13 +144,11 @@ def _epoch(fn) -> EpochKernel:
             raise ValueError("entity index out of range")
         if n and offsets is not None and not 0 <= rel.min() <= rel.max() < len(offsets):
             raise ValueError("relation id out of range")
-        k = vectors.shape[1]
-        scratch = np.empty(2 * k)
-        return fn(vectors.ctypes.data, k,
+        return fn(vectors.ctypes.data, vectors.shape[1],
                   None if biases is None else biases.ctypes.data,
                   None if offsets is None else offsets.ctypes.data,
                   rel.ctypes.data, rows.ctypes.data, cols.ctypes.data, labels.ctypes.data,
-                  n, gamma, lam, scratch.ctypes.data)
+                  n, gamma, lam)
     return run_epoch
 
 
@@ -163,10 +161,13 @@ def _rows(fn) -> RowParser:
                    n_rows: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Biases (n_rows,) and vectors (n_rows, k) of the entity lines of
         the model-file text data from byte start on, or None when a line is
-        refused or there are not n_rows of them. See parse_rows in kernel.c
-        for the lines and numbers it accepts."""
+        refused, there are not n_rows of them, or the text is too short to
+        hold them; that last is checked before anything is allocated. See
+        parse_rows in kernel.c for the lines and numbers it accepts."""
         if not isinstance(data, bytes) or k < 1 or n_rows < 0 or start < 0:
             raise ValueError("data must be bytes, k positive, n_rows and start nonnegative")
+        if len(data) - start < n_rows * 2 * (k + 1):
+            return None  # each number takes at least a digit and a separator
         biases, vectors = np.empty(n_rows), np.empty((n_rows, k))
         done = fn(data, start, len(data), k, biases.ctypes.data, vectors.ctypes.data, n_rows)
         return (biases, vectors) if done == n_rows else None
@@ -203,12 +204,3 @@ def library() -> Optional[Library]:
     at import."""
     return load()
 
-
-def epoch_kernel() -> Optional[EpochKernel]:
-    lib = library()
-    return None if lib is None else lib.run_epoch
-
-
-def row_parser() -> Optional[RowParser]:
-    lib = library()
-    return None if lib is None else lib.parse_rows

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernel import RowParser, row_parser
+from .kernel import RowParser, library
 from .rng import substream
 from .schema import (Database, EntityRegistry, LabeledCell, Manifest, Relation,
                      format_manifest, parse_manifest, read_text)
@@ -153,7 +153,10 @@ def init_embeddings(db: Database, k: int, seed: int, scale: float = 0.01,
     if scale <= 0:
         raise DataError("init scale must be positive")
     rng = substream(seed, "init")
-    vectors = rng.uniform(-scale, scale, size=(len(db.entities), k))
+    try:
+        vectors = rng.uniform(-scale, scale, size=(len(db.entities), k))
+    except (ValueError, MemoryError):  # numpy cannot shape or allocate n x k
+        raise DataError(f"cannot allocate {len(db.entities)} x {k} embeddings") from None
     return EmbeddingStore(db.entities, db.relations, vectors, enable_biases=enable_biases)
 
 
@@ -228,7 +231,7 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
     entities and non-finite values raise DataError.
 
     The numbers of the entity lines are parsed by the compiled library when
-    it is available (kernel.row_parser); a file it refuses in any way, and
+    it is available (kernel.library); a file it refuses in any way, and
     every file when it is not available, goes through _python_rows, which
     gives the same bits and reports each fault.
     """
@@ -261,11 +264,11 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
 
     # From here on, lines and the UTF-8 bytes for the compiled parser hold
     # the file: text is dropped, and the bytes once that parser has run.
-    parse_rows = row_parser()
-    data = None if parse_rows is None else text.encode("utf-8")
+    lib = library()
+    data = None if lib is None else text.encode("utf-8")
     del text
-    loaded = None if data is None else _compiled_rows(parse_rows, data, lines, end, manifest,
-                                                      k, enable_biases)
+    loaded = None if lib is None else _compiled_rows(lib.parse_rows, data, lines, end, manifest,
+                                                     k, enable_biases)
     del data
     if loaded is None:
         loaded = _python_rows(path, lines, end, manifest, k, enable_biases)
@@ -323,6 +326,8 @@ def _compiled_rows(parse_rows: RowParser, data: bytes, lines: list[str], end: in
         if etype not in types or not eid or register(etype, eid).index != n:
             return None
         n += 1
+    if not n:  # no entity lines: _python_rows checks that numpy can shape (0, k)
+        return None
     start = len("\n".join(lines[:end]).encode("utf-8")) + 1
     parsed = parse_rows(data, start, k, n)
     if parsed is None or (not enable_biases and parsed[0].any()):
@@ -374,7 +379,10 @@ def _python_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: 
             raise DataError(f"{path}:{lineno}: empty entity id")
         if registry.register(etype, eid).index != n:
             raise DataError(f"{path}:{lineno}: duplicate entity {etype}:{eid}")
-    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), k)
+    try:
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), k)
+    except ValueError:  # no entity lines, and a k that numpy cannot shape
+        raise DataError(f"{path}: malformed model header") from None
     bias_array = np.array(biases, dtype=np.float64)
     finite = np.isfinite(vectors).all(axis=1) & np.isfinite(bias_array)
     if not finite.all():

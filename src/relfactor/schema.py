@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import DataError
 
-# Raw stream record: (relation_name, e1_id, e2_id, label)
-StreamTuple = tuple[str, str, str, int]
-# Labeled evaluation cell: (relation, e1_id, e2_id, label)
+# A stream record or labeled evaluation cell: (relation, e1_id, e2_id, label)
 LabeledCell = tuple[str, str, str, int]
 
 
@@ -236,7 +234,7 @@ class Database:
     def total_tuples(self) -> int:
         return sum(array.shape[1] for array in self._columns.values())
 
-    def iter_tuples(self, relation: str) -> Iterator[StreamTuple]:
+    def iter_tuples(self, relation: str) -> Iterator[LabeledCell]:
         """Yield (relation, e1_id, e2_id, label) in insertion order."""
         all_ents = list(self.entities)
         for i, j, label in zip(*self.columns(relation).tolist()):
@@ -257,7 +255,7 @@ class Database:
         return Database(self.manifest, self.entities, columns)
 
 
-def build_database(manifest: Manifest, tuple_stream: Iterable[StreamTuple],
+def build_database(manifest: Manifest, tuple_stream: Iterable[LabeledCell],
                    census: Optional[Iterable[tuple[str, str]]] = None) -> Database:
     """Build a validated Database from a manifest and a tuple stream.
 
@@ -359,7 +357,7 @@ def read_rows(path: str | os.PathLike, n_min: int,
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def read_tuple_stream(path: str | os.PathLike, manifest: Manifest) -> Iterator[StreamTuple]:
+def read_tuple_stream(path: str | os.PathLike, manifest: Manifest) -> Iterator[LabeledCell]:
     """Read a tuple-stream TSV: ``relation \\t e1 \\t e2 \\t label``.
 
     For positives_only relations a 3-column form (label implied 1) is accepted.

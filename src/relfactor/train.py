@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DataError, DivergenceError
 from .evaluation import ConfusionCounts
-from .kernel import epoch_kernel
+from .kernel import library
 from .model import (EmbeddingStore, cell_columns, cells_log_likelihood, init_embeddings,
                     resolve_cells, score_cells, sigmoid)
 from .rng import substream
@@ -251,9 +251,9 @@ def train(db: Database, config: TrainConfig,
     pools = {pos: (store.rel_ids[name], _CellPool(db, name))
              for pos, (name, rel) in enumerate(zip(names, rels))
              if rel.positives_only or rel.fully_observed}
-    kernel = epoch_kernel()
-    run_epoch = kernel or _python_epoch
-    log = TrainLog(kernel="python" if kernel is None else "c")
+    lib = library()
+    run_epoch = _python_epoch if lib is None else lib.run_epoch
+    log = TrainLog(kernel="python" if lib is None else "c")
     best_f1 = -1.0
     best_params = None
 

@@ -144,12 +144,24 @@ def _biases_off(lines):
     return out
 
 
+def _set_k(value):
+    return _edit_line("relfactor-model", lambda l: [l.replace("k=2", f"k={value}")])
+
+
+def _without_entities(mutate):
+    """mutate, then drop the entity lines."""
+    return lambda lines: [line for line in mutate(lines) if "\t" not in line]
+
+
 # name -> (mutation of model_lines, pattern of the DataError it must raise)
 MALFORMED_MODELS = {
     "header-token-without-equals": (_edit_line("relfactor-model", lambda l: [l + " junk"]),
                                     "malformed model header"),
-    "nonpositive-k": (_edit_line("relfactor-model", lambda l: [l.replace("k=2", "k=-2")]),
-                      "malformed model header"),
+    "nonpositive-k": (_set_k(-2), "malformed model header"),
+    # too large for numpy to shape: refused before any array is allocated
+    "huge-k": (_set_k(2 ** 62), r"m\.rfm:5: expected 4611686018427387904 coordinates, got 2"),
+    "huge-k-without-entities": (_without_entities(_set_k(10 ** 20 - 1)),
+                                "malformed model header"),
     "unknown-relation-flag": (_edit_line("relation ", lambda l: [l + " sideways"]),
                               "unknown flag 'sideways'"),
     "relation-over-undeclared-type": (

@@ -144,7 +144,7 @@ class TestTrainCli:
     @pytest.mark.parametrize("option", [
         ("--neg-ratio", "1e12"), ("--neg-ratio", "inf"), ("--neg-ratio", "nan"),
         ("--init-scale", "nan"), ("--init-scale", "inf"), ("--gamma", "nan"),
-        ("--lambda", "inf"), ("--relations", "R,R,C"),
+        ("--lambda", "inf"), ("--relations", "R,R,C"), ("--k", "1000000000000000000"),
     ], ids=lambda option: " ".join(option))
     def test_bad_option_is_data_error(self, option, tmp_path, capsys):
         data = tmp_path / "data"

@@ -489,7 +489,7 @@ class TestCompiledRowParser:
     @pytest.mark.parametrize("biases", [False, True])
     def test_saved_model_loads_without_the_python_loop(self, simple_db, tmp_path, monkeypatch,
                                                        biases):
-        if kernel.row_parser() is None:
+        if kernel.library() is None:
             pytest.skip("no compiled library")
         rng = np.random.default_rng(8)
         n = len(simple_db.entities)
