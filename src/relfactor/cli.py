@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .errors import DataError, DivergenceError
-from .evaluation import SplitSpec, classify, evaluate, split_cold_start, split_held_out
+from .evaluation import (SplitSpec, check_threshold, classify, evaluate, split_cold_start,
+                         split_held_out)
 from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
@@ -230,6 +231,7 @@ def _cmd_evaluate(args) -> str:
 
 
 def _cmd_predict(args) -> str:
+    check_threshold(args.threshold)
     store = load_model(args.model)
     lines = []
     scored = []  # positions in lines of the pairs that resolved

@@ -112,6 +112,12 @@ def classify(score: float, threshold: float = 0.5) -> int:
     return 1 if score >= threshold else 0
 
 
+def check_threshold(threshold: float) -> None:
+    """DataError unless threshold is a number in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:  # also NaN
+        raise DataError(f"threshold must be in [0, 1], got {threshold!r}")
+
+
 @dataclass
 class ConfusionCounts:
     tp: int = 0
@@ -235,7 +241,9 @@ def evaluate(store: EmbeddingStore, test_set: Sequence[LabeledCell],
              threshold: float = 0.5) -> EvalReport:
     """Score every test cell, classify at the threshold, and assemble the
     report with one dataset per relation plus pooled counts. The PR curve
-    (over all cells) is included when both classes appear in the labels."""
+    (over all cells) is included when both classes appear in the labels.
+    A threshold outside [0, 1], or NaN, raises DataError."""
+    check_threshold(threshold)
     if not test_set:
         raise DataError("empty test set")
     rel_ids, rows, cols, labels = resolve_cells(store, test_set)

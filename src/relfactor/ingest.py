@@ -11,11 +11,14 @@ review-frequency threshold.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .porter import porter_stem
@@ -41,6 +44,26 @@ class RawRating:
     item_id: str
     stars: int
     timestamp: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class RatingColumns:
+    """Ratings as columns: row r is users[r] rating items[r] with stars[r]
+    at timestamps[r], which is None for a row without one."""
+
+    users: Sequence[str]
+    items: Sequence[str]
+    stars: Sequence[int]
+    timestamps: Sequence[Optional[int]]
+
+    @classmethod
+    def of(cls, ratings: Iterable[RawRating]) -> "RatingColumns":
+        rows = list(ratings)
+        return cls([r.user_id for r in rows], [r.item_id for r in rows],
+                   [r.stars for r in rows], [r.timestamp for r in rows])
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
 @dataclass(frozen=True)
@@ -154,33 +177,55 @@ def filter_categories(assignments: Sequence[tuple[str, str]],
     ]
 
 
-def resolve_rating_conflicts(ratings: Sequence[RawRating]) -> list[tuple[str, str, int]]:
-    """One (user, item, label) per rated cell.
+def _labels(stars: Sequence[int]) -> np.ndarray:
+    """binarize_rating of every star, as an int64 array; the first star out
+    of range raises."""
+    if isinstance(stars, np.ndarray):
+        bad = ~np.isin(stars, (1, 2, 3, 4, 5))
+        if bad.any():
+            binarize_rating(stars[bad.argmax()].item())
+        return (stars >= 4).astype(np.int64)
+    return np.fromiter(map(binarize_rating, stars), dtype=np.int64, count=len(stars))
 
-    Agreeing duplicates collapse; conflicting binarized labels resolve to the
-    rating with the latest timestamp, falling back to the last occurrence in
-    stream order when any timestamp is missing.
+
+def resolve_rating_conflicts(
+        ratings: RatingColumns | Sequence[RawRating]) -> list[tuple[str, str, int]]:
+    """One (user, item, label) per rated cell, in first-seen order.
+
+    Takes read_ratings' columns or any sequence of RawRating. A star out of
+    range raises DataError, the first one in stream order. Agreeing
+    duplicates collapse; conflicting binarized labels resolve to the rating
+    with the latest timestamp (the later row on a tie), falling back to the
+    last occurrence in stream order when any rating of the cell has no
+    timestamp.
+
+    Cells are grouped with dict operations and their disagreements found with
+    one np.bincount; only the rows of conflicting cells go through the rule
+    above one at a time, so timestamps of any size compare exactly.
     """
-    # One pass: the first (pos, ts, label) of every cell, in first-occurrence
-    # order, and a list of all entries only for cells rated more than once.
-    first: dict[tuple[str, str], tuple[int, Optional[int], int]] = {}
-    repeated: dict[tuple[str, str], list[tuple[int, Optional[int], int]]] = {}
-    for pos, r in enumerate(ratings):
-        entry = (pos, r.timestamp, binarize_rating(r.stars))
-        cell = (r.user_id, r.item_id)
-        seen = first.setdefault(cell, entry)
-        if seen is not entry:
-            repeated.setdefault(cell, [seen]).append(entry)
-    out = []
-    for cell, (_, _, label) in first.items():
-        entries = repeated.get(cell)
-        if entries is not None and any(e[2] != label for e in entries):
-            if all(ts is not None for _, ts, _ in entries):
-                label = max(entries, key=lambda e: (e[1], e[0]))[2]
-            else:
-                label = entries[-1][2]
-        out.append((cell[0], cell[1], label))
-    return out
+    if not isinstance(ratings, RatingColumns):
+        ratings = RatingColumns.of(ratings)
+    n = len(ratings)
+    labels = _labels(ratings.stars)
+    # cell[r] is the first row of row r's cell; those rows head the cells
+    first: dict[tuple[str, str], int] = {}
+    cell = np.fromiter(map(first.setdefault, zip(ratings.users, ratings.items),
+                           itertools.count()), dtype=np.int64, count=n)
+    heads = np.flatnonzero(cell == np.arange(n))
+    conflicting = np.bincount(cell[labels != labels[cell]], minlength=n) > 0
+    rows = np.flatnonzero(conflicting[cell])
+    latest: dict[int, tuple[Optional[int], int]] = {}  # cell -> (timestamp, row)
+    for c, row in zip(cell[rows].tolist(), rows.tolist()):
+        ts = ratings.timestamps[row]
+        best = latest.get(c, (ts, row))
+        if ts is None or best[0] is None:
+            latest[c] = (None, row)
+        elif ts >= best[0]:
+            latest[c] = (ts, row)
+    labels[list(latest)] = labels[[row for _, row in latest.values()]]
+    head_rows = heads.tolist()
+    return list(zip(map(ratings.users.__getitem__, head_rows),
+                    map(ratings.items.__getitem__, head_rows), labels[heads].tolist()))
 
 
 # --- raw file formats ---------------------------------------------------------
@@ -199,17 +244,78 @@ def unescape_text(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
-def read_ratings(path: str | os.PathLike) -> list[RawRating]:
-    """TSV: user_id, item_id, stars[, timestamp]."""
-    out = []
+def read_ratings(path: str | os.PathLike) -> RatingColumns:
+    """TSV: user_id, item_id, stars[, timestamp], read as columns.
+
+    A canonical file is read in one pass (_bulk_ratings); any other file,
+    and every faulty one, goes through _row_ratings, which gives the same
+    columns and reports each fault. Stars are not range-checked here:
+    resolve_rating_conflicts does that once the whole file has been read.
+    """
+    columns = _bulk_ratings(path)
+    return columns if columns is not None else _row_ratings(path)
+
+
+_STAR_TEXTS = frozenset("12345")
+
+
+def _bulk_ratings(path: str | os.PathLike) -> Optional[RatingColumns]:
+    """The columns of a canonical ratings file, from one read, one UTF-8
+    decode and one split; None for any other file, for _row_ratings.
+
+    Canonical: no blank or "#" lines, the same 3 or 4 columns on every line,
+    every star one of "1" to "5" and every timestamp a string int() reads.
+    Line ends are read as text mode reads them.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if text.startswith("#") or "\n#" in text:
+        return None
+    # tabs on each line, from the byte offsets of the tabs and line ends; a
+    # blank line has none
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), np.flatnonzero(buffer == 10)),
+                   prepend=0)
+    if tabs[0] not in (2, 3) or not (tabs == tabs[0]).all():
+        return None
+    width = int(tabs[0]) + 1
+    fields = text[:-1].replace("\n", "\t").split("\t")
+    stars = fields[2::width]
+    if not _STAR_TEXTS.issuperset(stars):
+        return None
+    try:
+        timestamps = list(map(int, fields[3::width])) if width == 4 else [None] * len(stars)
+    except ValueError:
+        return None
+    digits = np.frombuffer("".join(stars).encode("ascii"), dtype=np.uint8)
+    return RatingColumns(fields[0::width], fields[1::width],
+                         (digits - ord("0")).astype(np.int64), timestamps)
+
+
+def _row_ratings(path: str | os.PathLike) -> RatingColumns:
+    """read_ratings one row at a time through schema.read_rows: the
+    reference, and the loop that names the file and line of the first fault."""
+    users, items, stars, timestamps = [], [], [], []
     for lineno, parts in read_rows(path, 3, 4):
         try:
-            stars = int(parts[2])
-            ts = int(parts[3]) if len(parts) == 4 else None
+            stars.append(int(parts[2]))
+            timestamps.append(int(parts[3]) if len(parts) == 4 else None)
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed rating row") from None
-        out.append(RawRating(parts[0], parts[1], stars, ts))
-    return out
+        users.append(parts[0])
+        items.append(parts[1])
+    return RatingColumns(users, items, stars, timestamps)
 
 
 def read_reviews(path: str | os.PathLike) -> list[RawReview]:

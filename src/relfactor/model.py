@@ -150,8 +150,8 @@ def init_embeddings(db: Database, k: int, seed: int, scale: float = 0.01,
     """
     if k < 1:
         raise DataError("embedding dimension k must be >= 1")
-    if scale <= 0:
-        raise DataError("init scale must be positive")
+    if not 0 < scale < math.inf:
+        raise DataError("init scale must be finite and positive")
     rng = substream(seed, "init")
     try:
         vectors = rng.uniform(-scale, scale, size=(len(db.entities), k))

@@ -181,6 +181,21 @@ class TestEvaluateCli:
         assert head[0] == "dataset\ttp\tfp\ttn\tfn\tprecision\trecall\tf1"
         assert all(len(line.split("\t")) == 3 for line in pr.read_text().splitlines())
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+    def test_bad_threshold_is_data_error(self, model_path, split_dir, tmp_path, capsys,
+                                         threshold):
+        report = tmp_path / "report.tsv"
+        assert run("evaluate", "--model", str(model_path), "--test", str(split_dir / "test.tsv"),
+                   "--threshold", threshold, "--report", str(report)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"relfactor: error: threshold must be in [0, 1], got {float(threshold)!r}"]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_bounds_accepted(self, model_path, split_dir, threshold):
+        assert run("evaluate", "--model", str(model_path), "--test", str(split_dir / "test.tsv"),
+                   "--threshold", threshold) == 0
+
     def test_missing_model_is_data_error(self, split_dir, tmp_path):
         assert run("evaluate", "--model", str(tmp_path / "nope.rfm"),
                    "--test", str(split_dir / "test.tsv")) == 2
@@ -205,6 +220,17 @@ class TestPredictCli:
             assert len(row) == 5
             assert 0.0 < float(row[3]) < 1.0
             assert row[4] in ("0", "1")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+    def test_bad_threshold_is_data_error(self, model_path, tmp_path, capsys, threshold):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("R\tu00\ti00\n")
+        out = tmp_path / "preds.tsv"
+        assert run("predict", "--model", str(model_path), "--pairs", str(pairs),
+                   "--threshold", threshold, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relfactor: error: threshold must be in")
+        assert not out.exists()
 
     def test_unknown_entity_lenient(self, model_path, tmp_path):
         pairs = tmp_path / "pairs.tsv"

@@ -220,6 +220,18 @@ class TestEvaluate:
         with pytest.raises(DataError, match="empty"):
             evaluate(store, [])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5])
+    def test_threshold_out_of_range_rejected(self, simple_db, threshold):
+        store = init_embeddings(simple_db, k=2, seed=0)
+        with pytest.raises(DataError, match=r"threshold must be in \[0, 1\]"):
+            evaluate(store, list(simple_db.iter_tuples("R")), threshold=threshold)
+
+    def test_threshold_bounds_classify_everything(self, simple_db):
+        store = init_embeddings(simple_db, k=2, seed=0)
+        test = list(simple_db.iter_tuples("R"))
+        assert evaluate(store, test, threshold=0.0).pooled.recall == 1.0
+        assert evaluate(store, test, threshold=1.0).pooled.recall == 0.0
+
     def test_uninformative_model_matches_all_positive_formula(self, simple_db):
         store = EmbeddingStore(simple_db.entities, simple_db.relations,
                                np.zeros((len(simple_db.entities), 2)))

@@ -268,6 +268,159 @@ class TestResolveRatingConflicts:
         assert resolve_rating_conflicts(ratings) == self.reference(ratings)
 
 
+def ingest_ratings(directory, data):
+    """Run relfactor ingest on a ratings file holding data (bytes, or text
+    written as UTF-8): (exit code, R.tsv's text or None)."""
+    (directory / "schema.txt").write_text("type user\ntype item\nrelation R user item\n")
+    ratings = directory / "ratings.tsv"
+    ratings.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    out = directory / "out"
+    rc = main(["ingest", "--schema", str(directory / "schema.txt"),
+               "--ratings", str(ratings), "--out", str(out)])
+    r_tsv = out / "R.tsv"
+    return rc, r_tsv.read_text("utf-8") if r_tsv.exists() else None
+
+
+def rating_outcome(resolve):
+    """resolve()'s triples, or the text of the DataError it raises."""
+    try:
+        return resolve()
+    except DataError as exc:
+        return str(exc)
+
+
+# tokens for a star or timestamp field: some int() reads, some it does not,
+# some out of the star range, and an undecodable byte
+RATING_TOKENS = ["4", " 4 ", "+4", "٤", "4_0", "05", "0", "6", "x", "", "4.0", "-5",
+                 str(10**30), str(2**63), "\udcff"]
+
+
+@st.composite
+def ratings_files(draw):
+    """A ratings file of few users and items, all rows of 3 or all of 4
+    columns, with up to four edits that make it non-canonical or faulty."""
+    width = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(["u1", "u2", "ü3"]),
+                                   st.sampled_from(["i1", "i2"]), st.integers(1, 5),
+                                   st.integers(-2, 2)), min_size=1, max_size=12))
+    lines = [[u, i, str(stars), str(ts)][:width] for u, i, stars, ts in rows]
+    ends = ["\n"] * len(lines)
+    for how in draw(st.lists(st.sampled_from(["token", "drop", "add", "blank", "comment",
+                                              "line end", "no last end"]), max_size=4)):
+        t = draw(st.integers(0, len(lines) - 1))
+        if how == "token" and len(lines[t]) > 2:
+            lines[t][draw(st.integers(2, len(lines[t]) - 1))] = draw(st.sampled_from(RATING_TOKENS))
+        elif how == "drop":
+            lines[t] = lines[t][:-1]
+        elif how == "add":
+            lines[t] = lines[t] + [draw(st.sampled_from(["7", ""]))]
+        elif how in ("blank", "comment"):
+            lines.insert(t, [] if how == "blank" else ["#u1", "i1", "5", "1"][:width])
+            ends.insert(t, "\n")
+        elif how == "line end":
+            ends[t] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif how == "no last end":
+            ends[-1] = ""
+    text = "".join("\t".join(fields) + end for fields, end in zip(lines, ends))
+    return text.encode("utf-8", "surrogateescape")
+
+
+class TestReadRatings:
+    @pytest.mark.parametrize("lines, error", [
+        (["u1\ti1\t5\t1", "u1\ti2\t4", "u2\ti1\tfive\t3"], "ratings.tsv:3: malformed rating row"),
+        (["u1\ti1\t5", "u1\ti2\t4\tnoon"], "ratings.tsv:2: malformed rating row"),
+        (["u1\ti1\t5", "u1\ti2\t4.0"], "ratings.tsv:2: malformed rating row"),
+        (["u1\ti1\t5", "# note", "u1\ti2"], "ratings.tsv:3: expected 3-4 columns"),
+        (["u1\ti1\t5\t1\t2"], "ratings.tsv:1: expected 3-4 columns"),
+        (["u1\ti1\t5", "u1\ti2\t7"], "star rating out of range: 7"),
+        (["u1\ti1\t5", "u1\ti2\t0\t4"], "star rating out of range: 0"),
+        # reading ends before any star is binarized
+        (["u1\ti1\t5", "u1\ti2\t9", "u2\ti1\t4", "", "u2\ti2\t3\t1\t1"],
+         "ratings.tsv:5: expected 3-4 columns"),
+        (["u1\ti1\t9", "u1\ti2\tx"], "ratings.tsv:2: malformed rating row"),
+        # the tab total of these two lines is that of two 4-column rows
+        (["u1\ti1\t5\t1\t2", "u1\ti2\t4"], "ratings.tsv:1: expected 3-4 columns"),
+        (["u1\ti1\t5", "u1\ti2\t4\t1\t2", "u2\ti1"], "ratings.tsv:2: expected 3-4 columns"),
+        (["u1\ti1\t4_0"], "star rating out of range: 40"),
+    ])
+    def test_error_text(self, tmp_path, capsys, lines, error):
+        assert ingest_ratings(tmp_path, "\n".join(lines) + "\n") == (2, None)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relfactor: error: ")
+        assert err[0].endswith(error)
+
+    @pytest.mark.parametrize("stars, label", [
+        (" 4 ", 1), ("+4", 1), ("٤", 1), ("05", 1), ("3", 0), ("+1", 0)])
+    def test_star_spellings_int_reads(self, tmp_path, stars, label):
+        assert ingest_ratings(tmp_path, f"u1\ti1\t{stars}\t7\nu1\ti2\t2\t7\n") == (
+            0, f"R\tu1\ti1\t{label}\nR\tu1\ti2\t0\n")
+
+    @pytest.mark.parametrize("first, second, label", [
+        # exact integers: as floats, these two timestamps would tie
+        (10**30, 10**30 - 1, 1), (10**30 - 1, 10**30, 0), (-5, -6, 1), (-6, -5, 0),
+        (2**63, 2**63 - 1, 1), (-(2**63) - 1, -(2**63), 0)])
+    def test_timestamps_of_any_size(self, tmp_path, first, second, label):
+        text = f"u1\ti1\t5\t{first}\nu1\ti1\t1\t{second}\n"
+        assert ingest_ratings(tmp_path, text) == (0, f"R\tu1\ti1\t{label}\n")
+
+    @pytest.mark.parametrize("lines, r_tsv", [
+        # one row without a timestamp: stream order decides the cell
+        (["u1\ti1\t5\t100", "u1\ti1\t1"], "R\tu1\ti1\t0\n"),
+        (["u1\ti1\t1", "u1\ti1\t5\t100"], "R\tu1\ti1\t1\n"),
+        (["u1\ti1\t1\t200", "u1\ti1\t5\t100", "u2\ti1\t4"], "R\tu1\ti1\t0\nR\tu2\ti1\t1\n"),
+        (["u1\ti1\t2\t5", "u2\ti2\t4", "u1\ti1\t5\t1", "u1\ti1\t1", "u1\ti1\t5\t3"],
+         "R\tu1\ti1\t1\nR\tu2\ti2\t1\n"),
+    ])
+    def test_three_and_four_columns_mixed(self, tmp_path, lines, r_tsv):
+        assert ingest_ratings(tmp_path, "\n".join(lines) + "\n") == (0, r_tsv)
+
+    @pytest.mark.parametrize("data", [
+        b"u1\ti1\t5\t1\r\nu2\ti1\t2\t1\r\nu1\ti1\t1\t2\r\n",
+        b"u1\ti1\t5\t1\ru2\ti1\t2\t1\ru1\ti1\t1\t2\r",
+        b"u1\ti1\t5\t1\nu2\ti1\t2\t1\r\nu1\ti1\t1\t2",
+        b"\n# comment\tx\nu1\ti1\t5\t1\n\nu2\ti1\t2\t1\n#\nu1\ti1\t1\t2\n\n",
+        b"u1\ti1\t5\t1\r\n\r\n#c\ru2\ti1\t2\t1\n\ru1\ti1\t1\t2\n",
+    ])
+    def test_line_ends_blank_and_comment_lines(self, tmp_path, data):
+        assert ingest_ratings(tmp_path, data) == (0, "R\tu1\ti1\t0\nR\tu2\ti1\t0\n")
+
+    def test_ids_keep_every_character_but_tab_and_line_ends(self, tmp_path):
+        text = "\ufeffu\x85\t i#1 \t4\t1\nu \t\\x\t5\t1\n\t\t5\t1\n"
+        assert ingest_ratings(tmp_path, text) == (
+            0, "R\t\ufeffu\x85\t i#1 \t1\nR\tu \t\\x\t1\nR\t\t\t1\n")
+
+    def test_empty_and_comment_only_files(self, tmp_path):
+        for data in (b"", b"\n\n", b"# header\n"):
+            assert ingest_ratings(tmp_path, data) == (0, "")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("u1\ti1\t5\t100\nu1\ti1\t2\t200\nu2\ti1\t4\t-1\nu2\ti2\t1\t0",
+         [("u1", "i1", 0), ("u2", "i1", 1), ("u2", "i2", 0)]),
+        ("u1\ti1\t5\r\nu1\ti1\t2\r\nu2\ti1\t4\r\n", [("u1", "i1", 0), ("u2", "i1", 1)]),
+    ])
+    def test_canonical_file_skips_the_row_loop(self, tmp_path, monkeypatch, text, expected):
+        path = tmp_path / "ratings.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(ingest, "_row_ratings", None)
+        assert resolve_rating_conflicts(ingest.read_ratings(path)) == expected
+
+    @given(data=ratings_files())
+    @example(data=b"u1\ti1\t5\t1\t2\nu1\ti2\t4\n")
+    @example(data=b"u1\ti1\t5\t3\nu1\ti1\t1\t+3\r\n#u1\ti1\t4\t9\n")
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_row_loop(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ratings") / "ratings.tsv"
+        path.write_bytes(data)
+        bulk = ingest._bulk_ratings(path)
+        reference = rating_outcome(lambda: TestResolveRatingConflicts.reference(
+            [RawRating(*row) for row in zip(*dataclasses.astuple(ingest._row_ratings(path)))]))
+        assert rating_outcome(lambda: resolve_rating_conflicts(ingest.read_ratings(path))) \
+            == reference
+        if bulk is not None:
+            assert [list(column) for column in dataclasses.astuple(bulk)] \
+                == [list(column) for column in dataclasses.astuple(ingest._row_ratings(path))]
+
+
 class TestRawFiles:
     def test_review_text_escaping_roundtrip(self, tmp_path):
         text = "line one\nline\ttwo \\ backslash"

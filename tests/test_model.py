@@ -264,6 +264,11 @@ class TestInitEmbeddings:
         with pytest.raises(DataError):
             init_embeddings(simple_db, k=0, seed=1)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scale_not_finite_and_positive_rejected(self, simple_db, scale):
+        with pytest.raises(DataError, match="init scale must be finite and positive"):
+            init_embeddings(simple_db, k=2, seed=0, scale=scale)
+
     def test_biases_start_at_zero(self, simple_db):
         store = init_embeddings(simple_db, k=2, seed=1, enable_biases=True)
         assert np.all(store.biases == 0.0)
