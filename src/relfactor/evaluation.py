@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError
 from .model import EmbeddingStore, resolve_cells, score_cells, sigmoid_array
 from .rng import substream
-from .schema import Database, LabeledCell
+from .schema import Cells, Database, LabeledCell
 
 
 @dataclass
@@ -47,11 +47,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _as_cells(db: Database, relation: str, columns: np.ndarray) -> list[LabeledCell]:
-    return list(db.with_tuples({relation: columns}).iter_tuples(relation))
-
-
-def split_held_out(db: Database, spec: SplitSpec) -> tuple[Database, list[LabeledCell], list[LabeledCell]]:
+def split_held_out(db: Database, spec: SplitSpec) -> tuple[Database, Cells, Cells]:
     """Partition the target relation: train_fraction to train, the remainder
     divided equally into validation and test (odd remainder to validation)."""
     if spec.mode != "held_out":
@@ -65,8 +61,8 @@ def split_held_out(db: Database, spec: SplitSpec) -> tuple[Database, list[Labele
     n_val = (n - n_train + 1) // 2
     train_part, val_part, test_part = np.hsplit(columns[:, order], [n_train, n_train + n_val])
     train_db = db.with_tuples({spec.target_relation: train_part})
-    return train_db, _as_cells(db, spec.target_relation, val_part), \
-        _as_cells(db, spec.target_relation, test_part)
+    return (train_db, Cells(spec.target_relation, db.entities, val_part),
+            Cells(spec.target_relation, db.entities, test_part))
 
 
 def split_cold_start(db: Database, spec: SplitSpec):
@@ -75,7 +71,8 @@ def split_cold_start(db: Database, spec: SplitSpec):
     90/10 into train and validation. Side relations pass through intact, so
     cold entities keep their side-relation tuples.
 
-    Returns (train_db, validation, test, cold_entities).
+    Returns (train_db, validation, test, cold_entities), validation and test
+    as Cells over db's registry.
     """
     if spec.mode != "cold_start":
         raise DataError("split_cold_start requires mode 'cold_start'")
@@ -103,8 +100,8 @@ def split_cold_start(db: Database, spec: SplitSpec):
     n_train = _round_half_up(0.9 * warm.shape[1])
     train_part, val_part = np.hsplit(warm[:, warm_order], [n_train])
     train_db = db.with_tuples({spec.target_relation: train_part})
-    return train_db, _as_cells(db, spec.target_relation, val_part), \
-        _as_cells(db, spec.target_relation, test_part), cold
+    return (train_db, Cells(spec.target_relation, db.entities, val_part),
+            Cells(spec.target_relation, db.entities, test_part), cold)
 
 
 def classify(score: float, threshold: float = 0.5) -> int:

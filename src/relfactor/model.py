@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError
 from .kernel import RowParser, library
 from .rng import substream
-from .schema import (Database, EntityRegistry, LabeledCell, Manifest, Relation,
+from .schema import (Cells, Database, EntityRegistry, LabeledCell, Manifest, Relation,
                      format_manifest, parse_manifest, read_text)
 
 MODEL_MAGIC = "relfactor-model"
@@ -123,8 +123,12 @@ def score_cells(store: EmbeddingStore, rel_ids: Sequence[int],
 
 
 def resolve_cells(store: EmbeddingStore, cells: Sequence[LabeledCell]):
-    """(rel_ids, rows, cols, labels) int64 arrays of labeled cells given by
-    name; raises DataError on the first unknown relation or entity."""
+    """(rel_ids, rows, cols, labels) int64 arrays of labeled cells: the columns
+    of Cells over the store's own registry, else resolved by name, raising
+    DataError on the first unknown relation or entity."""
+    if isinstance(cells, Cells) and cells.entities is store.entities:
+        rel_id = store.rel_ids[store.relation(cells.relation).name]
+        return (np.full(len(cells), rel_id, dtype=np.int64), *cells.columns)
     flat = []
     for rel_name, e1_id, e2_id, y in cells:
         rel, e1, e2 = store.resolve(rel_name, e1_id, e2_id)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -183,6 +183,34 @@ class EntityRegistry:
         return iter(self._all)
 
 
+class Cells(Sequence):
+    """One relation's labeled cells as read-only (3, n) int64 columns of row
+    index, column index and label over an entity registry. Reading a cell
+    builds its (relation, e1_id, e2_id, label) tuple."""
+
+    def __init__(self, relation: str, entities: EntityRegistry, columns: np.ndarray):
+        self.relation = relation
+        self.entities = entities
+        # reshape makes a view of its own, so the caller's array keeps its flags
+        self.columns = np.asarray(columns, dtype=np.int64).reshape(3, -1)
+        self.columns.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, at):
+        picked = Cells(self.relation, self.entities, self.columns[:, at])
+        return picked if isinstance(at, slice) else next(iter(picked))
+
+    def __iter__(self) -> Iterator[LabeledCell]:
+        all_ents = list(self.entities)
+        for i, j, label in zip(*self.columns.tolist()):
+            yield (self.relation, all_ents[i].id, all_ents[j].id, label)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (Cells, list)) else NotImplemented
+
+
 class Database:
     """Immutable store of observed tuples over a declared schema.
 
@@ -236,9 +264,7 @@ class Database:
 
     def iter_tuples(self, relation: str) -> Iterator[LabeledCell]:
         """Yield (relation, e1_id, e2_id, label) in insertion order."""
-        all_ents = list(self.entities)
-        for i, j, label in zip(*self.columns(relation).tolist()):
-            yield (relation, all_ents[i].id, all_ents[j].id, label)
+        return iter(Cells(relation, self.entities, self.columns(relation)))
 
     def with_tuples(self, kept: dict[str, np.ndarray]) -> "Database":
         """New Database sharing this registry, with relation tuple sets replaced.

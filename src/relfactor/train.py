@@ -225,10 +225,12 @@ def train(db: Database, config: TrainConfig,
     """Fit embeddings by SGD; returns the store and a per-epoch log.
 
     With a validation set attached, the parameters from the epoch with the
-    highest validation F1 are retained (checkpoint-best). Training is
-    bit-reproducible for a fixed (db, config), and the same whichever kernel
-    runs the updates.
+    highest validation F1 are retained (checkpoint-best); an empty one is a
+    DataError. Training is bit-reproducible for a fixed (db, config), and the
+    same whichever kernel runs the updates.
     """
+    if validation is not None and not validation:
+        raise DataError("empty validation set")
     names = list(config.relations)
     rels = [db.relation(name) for name in names]
     n = len(db.entities)

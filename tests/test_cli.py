@@ -160,6 +160,17 @@ class TestTrainCli:
         assert len(err) == 1 and err[0].startswith("relfactor: error: ")
         assert not model.exists()
 
+    def test_empty_validation_file_is_data_error(self, split_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# no cells\n")
+        model = tmp_path / "m.rfm"
+        assert run("train", "--data", str(split_dir / "train"),
+                   "--schema", str(split_dir / "train" / "manifest.txt"),
+                   "--relations", "R,C", "--k", "2", "--epochs", "2",
+                   "--validation", str(empty), "--out", str(model)) == 2
+        assert capsys.readouterr().err == "relfactor: error: empty validation set\n"
+        assert not model.exists()
+
     def test_failed_train_leaves_no_model_file(self, split_dir, tmp_path):
         target = tmp_path / "m.rfm"
         run("train", "--data", str(split_dir / "train"),

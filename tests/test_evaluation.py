@@ -6,9 +6,10 @@ from relfactor.errors import DataError
 from relfactor.evaluation import (ConfusionCounts, SplitSpec, classify,
                                   evaluate, f1_report, micro_f1, pr_curve,
                                   split_cold_start, split_held_out)
-from relfactor.model import EmbeddingStore, init_embeddings
+from relfactor.model import EmbeddingStore, init_embeddings, load_model, save_model
 from relfactor.schema import build_database, parse_manifest
 from relfactor.synth import SynthSpec, generate_planted
+from relfactor.train import TrainConfig, train
 
 
 def held_out_db(n=10):
@@ -79,7 +80,7 @@ class TestSplitColdStart:
         db = self.db()
         train_db, val, test, cold = split_cold_start(db, self.spec())
         cold_ids = {e.id for e in cold}
-        for _, _, item, _ in list(train_db.iter_tuples("R")) + val:
+        for _, _, item, _ in list(train_db.iter_tuples("R")) + list(val):
             assert item not in cold_ids
         assert all(item in cold_ids for _, _, item, _ in test)
         expected = sum(1 for _, _, item, _ in db.iter_tuples("R") if item in cold_ids)
@@ -284,8 +285,81 @@ class TestImputationProtocol:
         assert all(e.type == "item" for e in cold)
         assert all(item in cold_ids for _, item, _, _ in test)
         assert not any(item in cold_ids for _, item, _, _ in
-                       list(train_db.iter_tuples("C")) + val)
+                       list(train_db.iter_tuples("C")) + list(val))
         assert set(train_db.iter_tuples("R")) == set(db.iter_tuples("R"))
+
+
+class TestSplitCells:
+    """Split output is Cells over the source registry: train() and evaluate
+    read its columns when the store shares that registry, and resolve names
+    otherwise."""
+
+    def db(self):
+        return generate_planted(SynthSpec(30, 30, 5, k_true=2, density=0.5, seed=3))
+
+    def split(self, mode):
+        if mode == "held_out":
+            return split_held_out(self.db(), SplitSpec(mode, "R", seed=0))
+        return split_cold_start(self.db(), SplitSpec(mode, "R", seed=0))[:3]
+
+    @pytest.mark.parametrize("mode", ["held_out", "cold_start"])
+    def test_split_cells_skip_the_name_loop(self, mode, monkeypatch):
+        train_db, val, test = self.split(mode)
+        config = TrainConfig(k=4, relations=["R", "C"], gamma=0.05, epochs=5, seed=0,
+                             enable_biases=True)
+        by_name, by_name_log = train(train_db, config, validation=list(val))
+        by_name_report = evaluate(by_name, list(test)).to_tsv()
+
+        def refuse(*args):
+            raise AssertionError("a split cell was resolved by name")
+
+        monkeypatch.setattr(EmbeddingStore, "resolve", refuse)
+        store, log = train(train_db, config, validation=val)
+        assert [e.val_f1 for e in log.entries] == [e.val_f1 for e in by_name_log.entries]
+        for ours, theirs in zip(store.copy_parameters(), by_name.copy_parameters()):
+            assert ours.tobytes() == theirs.tobytes()
+        assert evaluate(store, test).to_tsv() == by_name_report
+        with pytest.raises(AssertionError, match="resolved by name"):
+            evaluate(store, list(test))  # the patch is live for cells given by name
+
+    def test_loaded_store_resolves_split_cells_by_name(self, tmp_path, monkeypatch):
+        train_db, val, test = self.split("held_out")
+        store, _ = train(train_db, TrainConfig(k=4, relations=["R", "C"], epochs=3, seed=0),
+                         validation=val)
+        save_model(store, tmp_path / "m.rfm")
+        loaded = load_model(tmp_path / "m.rfm")
+        resolved = []
+        resolve = EmbeddingStore.resolve
+        monkeypatch.setattr(EmbeddingStore, "resolve",
+                            lambda self, *cell: resolved.append(cell) or resolve(self, *cell))
+        assert evaluate(loaded, test).to_tsv() == evaluate(store, test).to_tsv()
+        assert resolved == [cell[:3] for cell in test]
+
+    def test_cells_of_an_undeclared_relation_are_data_error(self):
+        db = self.db()
+        _, _, test = split_held_out(db, SplitSpec("held_out", "R", seed=0))
+        store = EmbeddingStore(db.entities, {"C": db.relation("C")},
+                               np.zeros((len(db.entities), 2)))
+        with pytest.raises(DataError, match="unknown relation 'R'"):
+            evaluate(store, test)
+
+    def test_columns_are_read_only(self):
+        _, val, test = self.split("cold_start")
+        for cells in (val, test):
+            assert not cells.columns.flags.writeable
+            with pytest.raises(ValueError):
+                cells.columns[2, 0] = 1 - cells.columns[2, 0]
+
+    def test_sequence_behaviour(self):
+        db = self.db()
+        _, val, test = split_held_out(db, SplitSpec("held_out", "R", seed=0))
+        cells = list(val)
+        assert val.entities is db.entities and len(val) == len(cells)
+        assert val == cells and cells == val and val != list(test)
+        assert val[0] == cells[0] and val[-1] == cells[-1] and val[2:5] == cells[2:5]
+        assert set(val) == set(cells) and cells[3] in val
+        with pytest.raises(IndexError):
+            val[len(val)]
 
 
 class TestConfusionCounts:

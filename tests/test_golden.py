@@ -7,7 +7,8 @@ second trains R with a fully_observed side relation and no positives_only
 relation, so its cells are drawn by the lookup path only and never by rank
 among a relation's free cells. A third pins every
 tuple file `relfactor ingest` writes from a small raw corpus, and a fourth
-the outputs of both split protocols. The digests of
+the outputs of both split protocols, in memory and as the files `relfactor
+split` writes. The digests of
 the trained runs depend on numpy's floating-point kernels and on the CPU, so
 a new numpy or another machine may legitimately change them. A change that
 is meant to move them must update the values and record the reason in
@@ -29,6 +30,19 @@ SPLIT_SHA256 = {
     "held_out": "d318bdbe0756a877b1815396d7c66b47bd7200eede0b99a7b4e8a210dae3c2e1",
     "cold_start col": "a18ff09c9c7fe9f59d854b4ee48fe2b0cd1da58819a5e738e0eb8e2c93b4dffa",
     "cold_start row": "d434f4006b916382dd512cfecb8eb31602c03930a2f28ca2b71e0b9ca30320b8",
+}
+SPLIT_CLI_SHA256 = {
+    "held-out-col validation.tsv": "4492bb17f4618ae4ef2349d78dd048ab67850ed4c9590319ea5f1f6375f029b8",
+    "held-out-col test.tsv": "184d880c75a131aaaef263e606be5f4382793e8d373027a595032b7cde6f17b8",
+    "held-out-col train/R.tsv": "89a71b7e4263d957bdf7c0a8378b20e72e24ed7ba52594d309dca2dd4e26587f",
+    "cold-start-col validation.tsv": "945c2805fdddeea502067722e6afcbb12dcc43c8131a976fdeaf1d535c718338",
+    "cold-start-col test.tsv": "26f2de3051b2bac4f184db387444b0bbd16a42cdff9e2eea8eed823d78bcf5b4",
+    "cold-start-col train/R.tsv": "f451113ee2fc675687aa97fda04b46b92538cac80afd75e4ac790575e2758af8",
+    "cold-start-col cold_entities.txt": "7be3c3538d84efab80e8f11e2ae857e327401acee98cfe42709c86e887fd6c63",
+    "cold-start-row validation.tsv": "6fc5d838c3ca35326b0c57dda9d6c82a24afbd31f9ac7c073a22eaf18bfd0d0c",
+    "cold-start-row test.tsv": "40f63748f716cc5111a5d1e283d0ecdfb3ad3098da6bef46be476fd7e9af1ac6",
+    "cold-start-row train/R.tsv": "b1ab4611e93038de52ce3abface4f2f6f667303da8ae5798b52c987505b670a2",
+    "cold-start-row cold_entities.txt": "4e4a72d2aab166eb2fa1eff8fc5cd1c93ee297874e6602d14a7673b33aa0e890",
 }
 
 FULLY_OBSERVED_MANIFEST = ("type user\ntype item\ntype category\n"
@@ -77,7 +91,7 @@ def test_golden_split_digests():
     """The training database's R tuples in order, the validation and test
     lists and the cold entity keys of each split protocol on planted()."""
     def digest(train_db, val, test, cold=()):
-        parts = [list(train_db.iter_tuples("R")), val, test, [e.key for e in cold]]
+        parts = [list(train_db.iter_tuples("R")), list(val), list(test), [e.key for e in cold]]
         return sha256(repr(parts).encode("utf-8"))
 
     db = planted()
@@ -86,6 +100,24 @@ def test_golden_split_digests():
         spec = rf.SplitSpec("cold_start", "R", cold_side=side, seed=0)
         digests[f"cold_start {side}"] = digest(*rf.split_cold_start(db, spec))
     assert digests == SPLIT_SHA256
+
+
+def test_golden_split_cli_digests(tmp_path):
+    """Every file `relfactor split` writes for the target relation, on the
+    files `relfactor synth` writes for planted()'s spec."""
+    data = tmp_path / "data"
+    assert main(["synth", "--users", "30", "--items", "30", "--categories", "5",
+                 "--k-true", "2", "--density", "0.5", "--seed", "3", "--out", str(data)]) == 0
+    digests = {}
+    for mode, side in (("held-out", "col"), ("cold-start", "col"), ("cold-start", "row")):
+        out = tmp_path / f"{mode}-{side}"
+        assert main(["split", "--schema", str(data / "manifest.txt"), "--data", str(data),
+                     "--mode", mode, "--target", "R", "--cold-side", side,
+                     "--out", str(out)]) == 0
+        for name in ("validation.tsv", "test.tsv", "train/R.tsv", "cold_entities.txt"):
+            if (out / name).exists():
+                digests[f"{out.name} {name}"] = sha256((out / name).read_bytes())
+    assert digests == SPLIT_CLI_SHA256
 
 
 def test_golden_fully_observed_side_relation(tmp_path, python_only):

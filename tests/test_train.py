@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relfactor.errors import DataError, DivergenceError
+from relfactor.evaluation import SplitSpec, split_held_out
 from relfactor.model import EmbeddingStore, sigmoid
 from relfactor.rng import substream
 from relfactor.schema import build_database, parse_manifest
@@ -374,6 +375,19 @@ class TestTrain:
         assert lines[0] == "epoch\tobjective\tval_f1\tseconds"
         assert len(lines) == 3
         assert lines[1].split("\t")[2] == "NA"
+
+    def test_empty_validation_set_is_data_error(self):
+        # checkpoint-best would otherwise keep epoch 1 on an F1 of 0.0
+        cfg = TrainConfig(k=2, relations=["R"], epochs=3, seed=0)
+        with pytest.raises(DataError, match="empty validation set"):
+            train(self.db(), cfg, validation=[])
+
+    def test_one_tuple_held_out_split_gives_empty_validation(self):
+        db = one_cell_db()
+        train_db, val, test = split_held_out(db, SplitSpec("held_out", "R", seed=0))
+        assert train_db.tuple_count("R") == 1 and len(val) == len(test) == 0
+        with pytest.raises(DataError, match="empty validation set"):
+            train(train_db, TrainConfig(k=2, relations=["R"], epochs=1), validation=val)
 
     def test_validation_collisions_counted(self):
         manifest = parse_manifest(RICH_MANIFEST)
