@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .porter import porter_stem
-from .schema import read_rows
+from .schema import read_rows, read_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -265,26 +265,19 @@ def _bulk_ratings(path: str | os.PathLike) -> Optional[RatingColumns]:
 
     Canonical: no blank or "#" lines, the same 3 or 4 columns on every line,
     every star one of "1" to "5" and every timestamp a string int() reads.
-    Line ends are read as text mode reads them.
+    Line ends are read as schema.read_text reads them.
     """
     try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
+        text = read_text(path)
+    except (OSError, DataError):  # for _row_ratings to report
         return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+    if not text.endswith("\n"):
+        text += "\n"
     if text.startswith("#") or "\n#" in text:
         return None
     # tabs on each line, from the byte offsets of the tabs and line ends; a
     # blank line has none
-    buffer = np.frombuffer(data, dtype=np.uint8)
+    buffer = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), np.flatnonzero(buffer == 10)),
                    prepend=0)
     if tabs[0] not in (2, 3) or not (tabs == tabs[0]).all():

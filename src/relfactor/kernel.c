@@ -1,5 +1,8 @@
 /* The compiled kernels of relfactor: run_epoch, one SGD epoch of train(),
- * and parse_rows, the number parser of load_model().
+ * and parse_rows, the number parser of load_model(). parse_rows reads only
+ * the biases and coordinates of the entity lines; load_model's one Python
+ * walk over the lines checks every key and offset line and raises every
+ * error, and reads the numbers itself with float() when parse_rows refuses.
  *
  * run_epoch runs the epoch over int64 columns, in example order. Each step
  * is the update rule of train.py, operation for operation as the Python
@@ -102,11 +105,12 @@ static int read_number(const char **p, const char *end, char sep, double *out)
  * split at '\n'. Empty lines and lines starting with "offset " are skipped;
  * every other line must read "<key>\tb=<bias>\t<c1> <c2> ... <ck>" with no
  * tab in the key. Row r's bias goes to biases[r] and its coordinates to row
- * r of vectors, which is (n_rows, k) row-major. Returns n_rows when every
- * line was read, else the row of the first refused line, or -1 when there
- * are more than n_rows entity lines. */
+ * r of vectors, which is (max_rows, k) row-major. Only the numbers are read
+ * here: the keys and the offset lines are load_model's to check. Returns the
+ * number of entity lines read, or -1 when a line is refused or there are
+ * more than max_rows entity lines. */
 int64_t parse_rows(const char *text, int64_t start, int64_t len, int64_t k,
-                   double *biases, double *vectors, int64_t n_rows)
+                   double *biases, double *vectors, int64_t max_rows)
 {
     const char *p = text + (start < len ? start : len), *end = text + len;
     int64_t row = 0;
@@ -120,19 +124,19 @@ int64_t parse_rows(const char *text, int64_t start, int64_t len, int64_t k,
             p = nl ? nl + 1 : end;
             continue;
         }
-        if (row == n_rows)
+        if (row == max_rows)
             return -1;
         while (p < end && *p != '\t' && *p != '\n')
             p++;
         if (end - p < 3 || p[0] != '\t' || p[1] != 'b' || p[2] != '=')
-            return row;
+            return -1;
         p += 3;
         if (!read_number(&p, end, '\t', biases + row))
-            return row;
+            return -1;
         double *v = vectors + row * k;
         for (int64_t d = 0; d < k; d++)
             if (!read_number(&p, end, d + 1 < k ? ' ' : '\n', v + d))
-                return row;
+                return -1;
         row++;
     }
     return row;

@@ -11,8 +11,9 @@ by the current user that no one else can write to.
 
 ``library()`` returns the one ``Library`` of a process, or None when there
 is no compiler, the compile fails, no cache directory is usable or the
-library does not load; train() and load_model() then run their Python
-reference loops, which give the same numbers and the same errors.
+library does not load; train() then runs its Python reference loop and
+load_model() reads the numbers with float(), which give the same numbers and
+the same errors.
 """
 
 from __future__ import annotations
@@ -158,19 +159,22 @@ def _rows(fn) -> RowParser:
     fn.restype = i64
 
     def parse_rows(data: bytes, start: int, k: int,
-                   n_rows: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Biases (n_rows,) and vectors (n_rows, k) of the entity lines of
-        the model-file text data from byte start on, or None when a line is
-        refused, there are not n_rows of them, or the text is too short to
-        hold them; that last is checked before anything is allocated. See
+                   max_rows: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Biases (n,) and vectors (n, k) of the n entity lines of the
+        model-file text data from byte start on, n at most max_rows; None
+        when a line is refused, or when the text is too short to hold a
+        single row, which is checked before anything is allocated. Only the
+        numbers are read: load_model checks the keys and offset lines. See
         parse_rows in kernel.c for the lines and numbers it accepts."""
-        if not isinstance(data, bytes) or k < 1 or n_rows < 0 or start < 0:
-            raise ValueError("data must be bytes, k positive, n_rows and start nonnegative")
-        if len(data) - start < n_rows * 2 * (k + 1):
-            return None  # each number takes at least a digit and a separator
-        biases, vectors = np.empty(n_rows), np.empty((n_rows, k))
-        done = fn(data, start, len(data), k, biases.ctypes.data, vectors.ctypes.data, n_rows)
-        return (biases, vectors) if done == n_rows else None
+        if not isinstance(data, bytes) or k < 1 or max_rows < 0 or start < 0:
+            raise ValueError("data must be bytes, k positive, max_rows and start nonnegative")
+        # each number takes at least a digit and a separator, so no more rows fit
+        capacity = min(max_rows, (len(data) - start) // (2 * (k + 1)))
+        if capacity < 1:
+            return None
+        biases, vectors = np.empty(capacity), np.empty((capacity, k))
+        n = fn(data, start, len(data), k, biases.ctypes.data, vectors.ctypes.data, capacity)
+        return None if n < 0 else (biases[:n], vectors[:n])
     return parse_rows
 
 

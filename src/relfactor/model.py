@@ -7,7 +7,6 @@ sigmoid(dot(v1, v2) [+ b1 + b2 + g_rel when biases are enabled]).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from typing import Iterable, Optional, Sequence
@@ -15,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernel import RowParser, library
+from .kernel import library
 from .rng import substream
 from .schema import (Cells, Database, EntityRegistry, LabeledCell, Manifest, Relation,
                      format_manifest, parse_manifest, read_text)
@@ -235,9 +234,10 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
     entities and non-finite values raise DataError.
 
     The numbers of the entity lines are parsed by the compiled library when
-    it is available (kernel.library); a file it refuses in any way, and
-    every file when it is not available, goes through _python_rows, which
-    gives the same bits and reports each fault.
+    it is available (kernel.library) and it accepts every line. Then one
+    walk over the entity and offset lines, _read_rows, checks the keys and
+    offsets, reads the numbers with float() when the library has not, and
+    reports each fault.
     """
     text = read_text(path)
     # split at "\n" only: entity ids may hold characters splitlines() breaks at
@@ -271,12 +271,11 @@ def load_model(path: str | os.PathLike) -> EmbeddingStore:
     lib = library()
     data = None if lib is None else text.encode("utf-8")
     del text
-    loaded = None if lib is None else _compiled_rows(lib.parse_rows, data, lines, end, manifest,
-                                                     k, enable_biases)
+    parsed = None if lib is None else lib.parse_rows(
+        data, len("\n".join(lines[:end]).encode("utf-8")) + 1, k, len(lines) - end)
     del data
-    if loaded is None:
-        loaded = _python_rows(path, lines, end, manifest, k, enable_biases)
-    registry, vectors, biases, offsets = loaded
+    registry, vectors, biases, offsets = _read_rows(path, lines, end, manifest, k,
+                                                    enable_biases, parsed)
     offset_array = np.array([offsets.get(name, 0.0) for name in manifest.relations])
     return EmbeddingStore(registry, manifest.relations, vectors, enable_biases=enable_biases,
                           biases=biases, offsets=offset_array)
@@ -301,54 +300,33 @@ def _read_offset(line: str, manifest: Manifest, offsets: dict[str, float],
     return None
 
 
-# registry, vectors, biases and offsets by name, as the entity and offset
-# lines of a model file give them
-_Rows = tuple[EntityRegistry, np.ndarray, np.ndarray, dict[str, float]]
+def _float_row(numbers: str) -> tuple[float, list[float]]:
+    """The bias and coordinates of an entity line's "b=<bias>\t<coords>",
+    read with float(): the reference number reader, used when the compiled
+    parser is not available or refuses a line. A malformed number raises
+    ValueError."""
+    bias, coords = numbers[2:].split("\t")
+    return float(bias), list(map(float, coords.split(" ")))
 
 
-def _compiled_rows(parse_rows: RowParser, data: bytes, lines: list[str], end: int,
-                   manifest: Manifest, k: int, enable_biases: bool) -> Optional[_Rows]:
-    """The rows of lines[end:], their numbers parsed by parse_rows over data,
-    the file's UTF-8 text; None when any line is at fault, for _python_rows
-    to report."""
+def _read_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: Manifest,
+               k: int, enable_biases: bool, parsed: Optional[tuple[np.ndarray, np.ndarray]]
+               ) -> tuple[EntityRegistry, np.ndarray, np.ndarray, dict[str, float]]:
+    """The registry, vectors, biases and offsets by name that lines[end:],
+    the entity and offset lines of a model file, give: one walk that checks
+    every line and names the file and line of the first fault. parsed holds
+    the biases and vectors of the entity lines as the compiled parser read
+    them; when it is None, _float_row reads them here."""
     registry = EntityRegistry(manifest.entity_types)
     register, types = registry.register, set(manifest.entity_types)
-    offsets: dict[str, float] = {}
-    n = 0
-    for line in itertools.islice(lines, end, None):
-        if not line:
-            continue
-        if line.startswith("offset "):
-            try:
-                if _read_offset(line, manifest, offsets, enable_biases) is not None:
-                    return None
-            except ValueError:
-                return None
-            continue
-        # parse_rows refuses a line without a tab, whatever this key is then
-        etype, _, eid = line[:line.find("\t")].partition(":")
-        if etype not in types or not eid or register(etype, eid).index != n:
-            return None
-        n += 1
-    if not n:  # no entity lines: _python_rows checks that numpy can shape (0, k)
-        return None
-    start = len("\n".join(lines[:end]).encode("utf-8")) + 1
-    parsed = parse_rows(data, start, k, n)
-    if parsed is None or (not enable_biases and parsed[0].any()):
-        return None
-    biases, vectors = parsed
-    return registry, vectors, biases, offsets
-
-
-def _python_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: Manifest,
-                 k: int, enable_biases: bool) -> _Rows:
-    """_compiled_rows in Python, one float() per number: the reference, and
-    the loop that names the file and line of the first fault."""
-    keys: list[tuple[str, str]] = []
-    biases: list[float] = []
-    rows: list[list[float]] = []
+    biases: list[float] = [] if parsed is None else parsed[0].tolist()
+    rows: list[list[float]] = []  # read by _float_row, with the line of each
     row_lines: list[int] = []
     offsets: dict[str, float] = {}
+    # An empty or duplicate id is reported once every line has been read, so
+    # a malformed line is reported before such an id on an earlier line.
+    clash = None
+    n = 0
     try:
         for lineno, line in enumerate(lines[end:], start=end + 1):
             if not line:
@@ -358,33 +336,34 @@ def _python_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: 
                 if fault is not None:
                     raise DataError(f"{path}:{lineno}: {fault}")
                 continue
-            cells = line.split("\t")
-            if len(cells) != 3 or not cells[1].startswith("b="):
+            key, _, numbers = line.partition("\t")
+            if parsed is None and (numbers.count("\t") != 1 or not numbers.startswith("b=")):
                 raise DataError(f"{path}:{lineno}: malformed entity line")
-            etype, _, eid = cells[0].partition(":")
-            if etype not in manifest.entity_types:
+            etype, _, eid = key.partition(":")
+            if etype not in types:
                 raise DataError(f"{path}:{lineno}: entity of undeclared type {etype!r}")
-            keys.append((etype, eid))
-            biases.append(float(cells[1][2:]))
-            if biases[-1] != 0.0 and not enable_biases:
+            if clash is None and (not eid or register(etype, eid).index != n):
+                clash = f"{path}:{lineno}: " + (f"duplicate entity {etype}:{eid}" if eid
+                                                else "empty entity id")
+            if parsed is None:
+                bias, coords = _float_row(numbers)
+                if len(coords) != k:
+                    raise DataError(f"{path}:{lineno}: expected {k} coordinates, got {len(coords)}")
+                biases.append(bias)
+                rows.append(coords)
+                row_lines.append(lineno)
+            if not enable_biases and biases[n] != 0.0:
                 raise DataError(f"{path}:{lineno}: nonzero bias in a model without biases")
-            rows.append(list(map(float, cells[2].split(" "))))
-            if len(rows[-1]) != k:
-                raise DataError(f"{path}:{lineno}: expected {k} coordinates, got {len(rows[-1])}")
-            row_lines.append(lineno)
+            n += 1
     except ValueError:
         raise DataError(f"{path}:{lineno}: malformed number") from None
+    if clash is not None:
+        raise DataError(clash)
+    if parsed is not None:  # the compiled parser reads finite numbers only
+        return registry, parsed[1], parsed[0], offsets
 
-    # Entities register once every line has parsed, so a malformed line is
-    # reported before an empty or duplicate id on an earlier line.
-    registry = EntityRegistry(manifest.entity_types)
-    for n, ((etype, eid), lineno) in enumerate(zip(keys, row_lines)):
-        if not eid:
-            raise DataError(f"{path}:{lineno}: empty entity id")
-        if registry.register(etype, eid).index != n:
-            raise DataError(f"{path}:{lineno}: duplicate entity {etype}:{eid}")
     try:
-        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), k)
+        vectors = np.array(rows, dtype=np.float64).reshape(n, k)
     except ValueError:  # no entity lines, and a k that numpy cannot shape
         raise DataError(f"{path}: malformed model header") from None
     bias_array = np.array(biases, dtype=np.float64)

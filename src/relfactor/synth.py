@@ -76,19 +76,25 @@ def _labels(dots: np.ndarray, margin: float, noise: float,
 def generate_planted(spec: SynthSpec) -> Database:
     """Database with relations R (user x item, both labels) and C
     (item x category, positives only) over planted shared factors."""
-    scale = math.sqrt(_DOT_STD / math.sqrt(spec.k_true))
-    rng_f = substream(spec.seed, "factors")
-    users = rng_f.normal(0.0, scale, size=(spec.n_users, spec.k_true))
-    items = rng_f.normal(0.0, scale, size=(spec.n_items, spec.k_true))
-    cats = rng_f.normal(0.0, scale, size=(spec.n_categories, spec.k_true))
+    try:
+        scale = math.sqrt(_DOT_STD / math.sqrt(spec.k_true))
+        rng_f = substream(spec.seed, "factors")
+        users = rng_f.normal(0.0, scale, size=(spec.n_users, spec.k_true))
+        items = rng_f.normal(0.0, scale, size=(spec.n_items, spec.k_true))
+        cats = rng_f.normal(0.0, scale, size=(spec.n_categories, spec.k_true))
 
-    rng_flip = substream(spec.seed, "flip")
-    r_labels = _labels(users @ items.T, 0.0, spec.noise, rng_flip)
-    c_labels = _labels(items @ cats.T, _CATEGORY_MARGIN * _DOT_STD, spec.noise, rng_flip)
+        rng_flip = substream(spec.seed, "flip")
+        r_labels = _labels(users @ items.T, 0.0, spec.noise, rng_flip)
+        c_labels = _labels(items @ cats.T, _CATEGORY_MARGIN * _DOT_STD, spec.noise, rng_flip)
 
-    rng_obs = substream(spec.seed, "observe")
-    r_observed = rng_obs.random(r_labels.shape) < spec.density
-    c_observed = rng_obs.random(c_labels.shape) < spec.c_density
+        rng_obs = substream(spec.seed, "observe")
+        r_observed = rng_obs.random(r_labels.shape) < spec.density
+        c_observed = rng_obs.random(c_labels.shape) < spec.c_density
+    # k_true too large for a float, or factors or cells numpy cannot shape or allocate
+    except (OverflowError, ValueError, MemoryError):
+        raise DataError(f"cannot allocate a planted dataset of {spec.n_users} users, "
+                        f"{spec.n_items} items and {spec.n_categories} categories "
+                        f"at k_true={spec.k_true}") from None
 
     uw = len(str(spec.n_users - 1))
     iw = len(str(spec.n_items - 1))

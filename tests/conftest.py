@@ -171,6 +171,9 @@ MALFORMED_MODELS = {
                          r"m\.rfm:6: duplicate entity user:u1"),
     "empty-entity-id": (_edit_line("user:u1\t", lambda l: [l.replace("user:u1", "user:", 1)]),
                         r"m\.rfm:5: empty entity id"),
+    "undeclared-entity-type": (_edit_line("user:u1\t",
+                                          lambda l: [l.replace("user:u1", "shop:u1", 1)]),
+                               r"m\.rfm:5: entity of undeclared type 'shop'"),
     "nan-coordinate": (_edit_line("user:u1\t", _set_last_token("nan")),
                        r"m\.rfm:5: non-finite"),
     "inf-bias": (_edit_line("user:u1\t", _set_bias("inf")), r"m\.rfm:5: non-finite"),

@@ -91,6 +91,18 @@ class TestSynthAndSplit:
         assert (a / "test.tsv").read_text() == (b / "test.tsv").read_text()
         assert (a / "train" / "R.tsv").read_text() == (b / "train" / "R.tsv").read_text()
 
+    @pytest.mark.parametrize("sizes", [("--users", "10000000000000"),
+                                       ("--k-true", "10000000000000000000")],
+                             ids=lambda sizes: sizes[0])
+    def test_unallocatable_synth_is_data_error(self, sizes, tmp_path, capsys):
+        """numpy refuses the first array of these sizes (291 TiB of user
+        factors, a dimension past int64) without allocating it."""
+        options = dict([("--users", "1"), ("--items", "1"), ("--categories", "1"), sizes])
+        assert run("synth", *[part for pair in options.items() for part in pair],
+                   "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relfactor: error: cannot allocate")
+
 
 class TestTrainCli:
     def test_seeded_training_bit_reproducible(self, split_dir, tmp_path):

@@ -503,13 +503,52 @@ class TestCompiledRowParser:
                                offsets=np.array([-0.5]))
         path = tmp_path / "m.rfm"
         save_model(store, path)
-        monkeypatch.setattr(model, "_python_rows", None)
+        monkeypatch.setattr(model, "_float_row", None)  # the numbers come from kernel.c
         loaded = load_model(path)
         assert loaded.vectors.tobytes() == store.vectors.tobytes()
         assert loaded.vectors.flags.c_contiguous
         if biases:
             assert loaded.biases.tobytes() == store.biases.tobytes()
             assert loaded.offsets.tobytes() == store.offsets.tobytes()
+
+    @pytest.mark.parametrize("case", ["duplicate-entity", "empty-entity-id", "duplicate-offset",
+                                      "offset-of-undeclared-relation", "offset-without-biases",
+                                      "bias-without-biases", "undeclared-entity-type"])
+    def test_key_and_offset_faults_found_without_float(self, case, model_lines, tmp_path,
+                                                       monkeypatch):
+        """A file whose numbers the compiled parser reads is checked over
+        those numbers: its key or offset fault gives the error of the
+        library-free path, with no entity line read by float()."""
+        if kernel.library() is None:
+            pytest.skip("no compiled library")
+        mutate, match = MALFORMED_MODELS[case]
+        path = write_model(tmp_path / "m.rfm", mutate(model_lines))
+        with without_library(tmp_path / "empty-cache"):
+            python = load_outcome(path)
+        assert isinstance(python, str) and re.search(match, python)
+
+        def refuse(numbers):
+            raise AssertionError(f"entity line read by float(): {numbers!r}")
+        monkeypatch.setattr(model, "_float_row", refuse)
+        assert load_outcome(path) == python
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_load_alike(self, model_lines, tmp_path, monkeypatch, newline):
+        """A model file with \\n, \\r\\n or \\r line ends loads to the same
+        store, with and without the library. With it, every number comes
+        from the compiled parser, which starts at the byte offset of the
+        first entity line in the text as read; the non-ASCII type name puts
+        that offset past the one in characters."""
+        text = "\n".join(line.replace("business", "geschäft") for line in model_lines) + "\n"
+        (tmp_path / "lf.rfm").write_bytes(text.encode("utf-8"))
+        path = tmp_path / "m.rfm"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        expected = load_outcome(tmp_path / "lf.rfm")
+        assert isinstance(expected, tuple) and "geschäft:b1" in expected[0]
+        assert both_paths(path, tmp_path) == (expected, expected)
+        if kernel.library() is not None:
+            monkeypatch.setattr(model, "_float_row", None)
+            assert load_outcome(path) == expected
 
     # model_lines: header and manifest on lines 1-4, entities user:u1,
     # business:b1, business:b2 and user:u2 on lines 5-8, the offset on line 9

@@ -84,3 +84,14 @@ class TestGeneratePlanted:
     def test_degenerate_specs_rejected(self, kwargs):
         with pytest.raises(DataError):
             SynthSpec(**kwargs)
+
+    # Sizes numpy refuses at the first allocation, or before any: 291 TiB of
+    # user factors, a dimension past int64, a k_true past the float range.
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_users=10 ** 13, n_items=1, n_categories=1),
+        dict(n_users=1, n_items=1, n_categories=1, k_true=10 ** 19),
+        dict(n_users=1, n_items=1, n_categories=1, k_true=10 ** 400),
+    ], ids=["users", "k_true", "k_true-past-float"])
+    def test_unallocatable_sizes_are_data_errors(self, kwargs):
+        with pytest.raises(DataError, match="cannot allocate a planted dataset"):
+            generate_planted(SynthSpec(**kwargs))
