@@ -182,7 +182,7 @@ def _cmd_split(args) -> str:
     _write_atomic(out / "validation.tsv", cells_text(val))
     _write_atomic(out / "test.tsv", cells_text(test))
     if cold is not None:
-        _write_atomic(out / "cold_entities.txt", "".join(f"{e.type}:{e.id}\n" for e in cold))
+        _write_atomic(out / "cold_entities.txt", "".join(f"{e.key}\n" for e in cold))
     summary = (f"{mode} split of {args.target}: "
                f"{train_db.tuple_count(args.target)} train, {len(val)} validation, "
                f"{len(test)} test tuples")
@@ -266,7 +266,7 @@ def _cmd_nn(args) -> str:
     etype, eid = _parse_entity_ref(args.entity)
     result = nearest_neighbors(store, etype, eid, args.n, metric=args.metric,
                                type_filter=args.type)
-    body = "".join(f"{e.type}:{e.id}\t{s:.6f}\n" for e, s in result.neighbors)
+    body = "".join(f"{e.key}\t{s:.6f}\n" for e, s in result.neighbors)
     sys.stdout.write(body)
     return f"{len(result.neighbors)} neighbors of {args.entity} by {args.metric}"
 
@@ -275,7 +275,7 @@ def _cmd_project(args) -> str:
     store = load_model(args.model)
     subset = [_parse_entity_ref(ref.strip()) for _, (ref,) in read_rows(args.entities, 1, 1)]
     coords = project_2d(store, subset)
-    text = "".join(f"{e.type}:{e.id}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
+    text = "".join(f"{e.key}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
     _write_atomic(args.out, text)
     return f"projected {len(coords)} entities to 2-D"
 

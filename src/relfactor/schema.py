@@ -69,11 +69,12 @@ def parse_manifest(text: str) -> Manifest:
 
     One declaration per line: ``type <name>`` or
     ``relation <name> <row_type> <col_type> [fully_observed|positives_only]``.
-    Lines starting with ``#`` and blank lines are ignored.
+    Lines starting with ``#`` and blank lines are ignored. Lines end only at
+    ``\n``, as in every input file (read_text reads ``\r\n`` and ``\r`` as ``\n``).
     """
     manifest = Manifest()
     seen_types: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .rng import substream
-from .schema import Database, Manifest, Relation, build_database
+from .schema import Database, EntityRegistry, Manifest, Relation
 
 # Target standard deviation of planted dot products; keeps label margins
 # crisp enough that recovery is well-posed at desk scale.
@@ -56,13 +56,10 @@ class SynthSpec:
 
 
 def planted_manifest() -> Manifest:
-    manifest = Manifest()
-    manifest.entity_types = ["user", "item", "category"]
-    manifest.relations = {
+    return Manifest(["user", "item", "category"], {
         "R": Relation("R", "user", "item"),
         "C": Relation("C", "item", "category", positives_only=True),
-    }
-    return manifest
+    })
 
 
 def _labels(dots: np.ndarray, margin: float, noise: float,
@@ -75,7 +72,11 @@ def _labels(dots: np.ndarray, margin: float, noise: float,
 
 def generate_planted(spec: SynthSpec) -> Database:
     """Database with relations R (user x item, both labels) and C
-    (item x category, positives only) over planted shared factors."""
+    (item x category, positives only) over planted shared factors.
+
+    Users, items and categories are registered in that order, each in id
+    order; the cells of both relations come in row-major order."""
+    manifest = planted_manifest()
     try:
         scale = math.sqrt(_DOT_STD / math.sqrt(spec.k_true))
         rng_f = substream(spec.seed, "factors")
@@ -90,30 +91,24 @@ def generate_planted(spec: SynthSpec) -> Database:
         rng_obs = substream(spec.seed, "observe")
         r_observed = rng_obs.random(r_labels.shape) < spec.density
         c_observed = rng_obs.random(c_labels.shape) < spec.c_density
-    # k_true too large for a float, or factors or cells numpy cannot shape or allocate
+
+        # global indices: items follow the users, categories the items
+        u, i = np.nonzero(r_observed)
+        r_cells = np.array([u, spec.n_users + i, r_labels[u, i]], dtype=np.int64)
+        i, c = np.nonzero(c_observed & c_labels)
+        c_cells = np.array([spec.n_users + i, spec.n_users + spec.n_items + c, np.ones_like(c)],
+                           dtype=np.int64)
+
+        entities = EntityRegistry(manifest.entity_types)
+        for etype, prefix, count in zip(manifest.entity_types, "uic",
+                                        (spec.n_users, spec.n_items, spec.n_categories)):
+            width = len(str(count - 1))
+            for n in range(count):
+                entities.register(etype, f"{prefix}{n:0{width}d}")
+    # k_true too large for a float, or factors, cells or entities that cannot be
+    # shaped or allocated
     except (OverflowError, ValueError, MemoryError):
         raise DataError(f"cannot allocate a planted dataset of {spec.n_users} users, "
                         f"{spec.n_items} items and {spec.n_categories} categories "
                         f"at k_true={spec.k_true}") from None
-
-    uw = len(str(spec.n_users - 1))
-    iw = len(str(spec.n_items - 1))
-    cw = len(str(spec.n_categories - 1))
-    user_ids = [f"u{n:0{uw}d}" for n in range(spec.n_users)]
-    item_ids = [f"i{n:0{iw}d}" for n in range(spec.n_items)]
-    cat_ids = [f"c{n:0{cw}d}" for n in range(spec.n_categories)]
-
-    stream = []
-    for u in range(spec.n_users):
-        for i in range(spec.n_items):
-            if r_observed[u, i]:
-                stream.append(("R", user_ids[u], item_ids[i], int(r_labels[u, i])))
-    for i in range(spec.n_items):
-        for c in range(spec.n_categories):
-            if c_observed[i, c] and c_labels[i, c]:
-                stream.append(("C", item_ids[i], cat_ids[c], 1))
-
-    census = ([("user", uid) for uid in user_ids]
-              + [("item", iid) for iid in item_ids]
-              + [("category", cid) for cid in cat_ids])
-    return build_database(planted_manifest(), stream, census=census)
+    return Database(manifest, entities, {"R": r_cells, "C": c_cells})

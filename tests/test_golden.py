@@ -8,7 +8,7 @@ relation, so its cells are drawn by the lookup path only and never by rank
 among a relation's free cells. A third pins every
 tuple file `relfactor ingest` writes from a small raw corpus, and a fourth
 the outputs of both split protocols, in memory and as the files `relfactor
-split` writes. The digests of
+split` writes. A fifth pins every file `relfactor synth` writes. The digests of
 the trained runs depend on numpy's floating-point kernels and on the CPU, so
 a new numpy or another machine may legitimately change them. A change that
 is meant to move them must update the values and record the reason in
@@ -43,6 +43,16 @@ SPLIT_CLI_SHA256 = {
     "cold-start-row test.tsv": "40f63748f716cc5111a5d1e283d0ecdfb3ad3098da6bef46be476fd7e9af1ac6",
     "cold-start-row train/R.tsv": "b1ab4611e93038de52ce3abface4f2f6f667303da8ae5798b52c987505b670a2",
     "cold-start-row cold_entities.txt": "4e4a72d2aab166eb2fa1eff8fc5cd1c93ee297874e6602d14a7673b33aa0e890",
+}
+SYNTH_CLI_SHA256 = {
+    "planted manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "planted entities.tsv": "c59ef16c32e046c96f532eb0cfb7ba7b0e1e834dae4361e9ef01c7c8610b8093",
+    "planted R.tsv": "3826932ea6ed21eb8b8837689923951d3c5e231c32481d65d66fc5e47cbb62ea",
+    "planted C.tsv": "3a3c221a31d8b85ae5479d2a55e650ab12cf619c6930538ef0825e951834b8f1",
+    "noisy-sparse manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "noisy-sparse entities.tsv": "24d8b500c9533bada9ae47df4f86b2f8cc6a710c9706ef9a80871682fcd9e5fc",
+    "noisy-sparse R.tsv": "bf3b5b570fcd8bbfec15b8c901c967c1d7181cff36b76436922c7ad92259a959",
+    "noisy-sparse C.tsv": "0b684461dee41c9231a4e663212a9d5fe9874287c3d22270b9468fb7bbce9eed",
 }
 
 FULLY_OBSERVED_MANIFEST = ("type user\ntype item\ntype category\n"
@@ -118,6 +128,23 @@ def test_golden_split_cli_digests(tmp_path):
             if (out / name).exists():
                 digests[f"{out.name} {name}"] = sha256((out / name).read_bytes())
     assert digests == SPLIT_CLI_SHA256
+
+
+def test_golden_synth_cli_digests(tmp_path):
+    """Every file `relfactor synth` writes, for planted()'s spec and for a
+    noisy spec with sparse R and C."""
+    specs = {"planted": ["--users", "30", "--items", "30", "--categories", "5",
+                         "--k-true", "2", "--density", "0.5", "--seed", "3"],
+             "noisy-sparse": ["--users", "37", "--items", "23", "--categories", "4",
+                              "--noise", "0.2", "--density", "0.05", "--c-density", "0.3",
+                              "--seed", "8"]}
+    digests = {}
+    for name, options in specs.items():
+        out = tmp_path / name
+        assert main(["synth", *options, "--out", str(out)]) == 0
+        for file in ("manifest.txt", "entities.tsv", "R.tsv", "C.tsv"):
+            digests[f"{name} {file}"] = sha256((out / file).read_bytes())
+    assert digests == SYNTH_CLI_SHA256
 
 
 def test_golden_fully_observed_side_relation(tmp_path, python_only):

@@ -1,10 +1,50 @@
+import math
+
 import numpy as np
 import pytest
 
 from relfactor.errors import DataError
 from relfactor.rng import substream
-from relfactor.schema import lookup
-from relfactor.synth import SynthSpec, generate_planted, _DOT_STD
+from relfactor.schema import build_database, lookup
+from relfactor.synth import (SynthSpec, generate_planted, planted_manifest, _CATEGORY_MARGIN,
+                             _DOT_STD, _labels)
+
+
+def reference_planted(spec):
+    """The Database generate_planted built when it visited every cell: the
+    same draws, one (relation, id, id, label) tuple per observed cell in
+    row-major order, and build_database with a census of every entity."""
+    scale = math.sqrt(_DOT_STD / math.sqrt(spec.k_true))
+    rng_f = substream(spec.seed, "factors")
+    users = rng_f.normal(0.0, scale, size=(spec.n_users, spec.k_true))
+    items = rng_f.normal(0.0, scale, size=(spec.n_items, spec.k_true))
+    cats = rng_f.normal(0.0, scale, size=(spec.n_categories, spec.k_true))
+    rng_flip = substream(spec.seed, "flip")
+    r_labels = _labels(users @ items.T, 0.0, spec.noise, rng_flip)
+    c_labels = _labels(items @ cats.T, _CATEGORY_MARGIN * _DOT_STD, spec.noise, rng_flip)
+    rng_obs = substream(spec.seed, "observe")
+    r_observed = rng_obs.random(r_labels.shape) < spec.density
+    c_observed = rng_obs.random(c_labels.shape) < spec.c_density
+
+    uw = len(str(spec.n_users - 1))
+    iw = len(str(spec.n_items - 1))
+    cw = len(str(spec.n_categories - 1))
+    user_ids = [f"u{n:0{uw}d}" for n in range(spec.n_users)]
+    item_ids = [f"i{n:0{iw}d}" for n in range(spec.n_items)]
+    cat_ids = [f"c{n:0{cw}d}" for n in range(spec.n_categories)]
+    stream = []
+    for u in range(spec.n_users):
+        for i in range(spec.n_items):
+            if r_observed[u, i]:
+                stream.append(("R", user_ids[u], item_ids[i], int(r_labels[u, i])))
+    for i in range(spec.n_items):
+        for c in range(spec.n_categories):
+            if c_observed[i, c] and c_labels[i, c]:
+                stream.append(("C", item_ids[i], cat_ids[c], 1))
+    census = ([("user", uid) for uid in user_ids]
+              + [("item", iid) for iid in item_ids]
+              + [("category", cid) for cid in cat_ids])
+    return build_database(planted_manifest(), stream, census=census)
 
 
 class TestGeneratePlanted:
@@ -95,3 +135,22 @@ class TestGeneratePlanted:
     def test_unallocatable_sizes_are_data_errors(self, kwargs):
         with pytest.raises(DataError, match="cannot allocate a planted dataset"):
             generate_planted(SynthSpec(**kwargs))
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(1, 1, 1),
+    SynthSpec(30, 30, 5, k_true=2, density=0.5, seed=3),
+    SynthSpec(37, 23, 4, noise=0.2, density=0.05, c_density=0.3, seed=8),
+    SynthSpec(6, 5, 3, density=1e-300, seed=2),
+], ids=["1x1x1", "planted", "noisy-sparse", "empty-R"])
+def test_same_database_as_the_cell_loop(spec):
+    db, ref = generate_planted(spec), reference_planted(spec)
+    assert db.manifest == ref.manifest
+    # type, id, ordinal and global index of every entity, in registration order
+    assert list(db.entities) == list(ref.entities)
+    for name in ("R", "C"):
+        assert db.columns(name).dtype == ref.columns(name).dtype == np.int64
+        assert db.columns(name).shape == ref.columns(name).shape
+        assert db.columns(name).tobytes() == ref.columns(name).tobytes()
+    if spec.density == 1e-300:
+        assert db.tuple_count("R") == 0

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relfactor.cli import main
+from relfactor.errors import DataError
 from relfactor.model import load_model, save_model
+from relfactor.schema import parse_manifest
 
 from conftest import RAW_INPUTS
 
@@ -127,6 +129,34 @@ def test_ids_with_splitlines_breaks_survive_split_train_save_load(tmp_path, caps
     copy = tmp_path / "copy.rfm"
     save_model(store, copy)
     assert copy.read_bytes() == model.read_bytes()
+
+
+def test_form_feed_does_not_end_a_manifest_line(trained, tmp_path, capsys):
+    r"""`type user\x0ctype item` is one malformed declaration on line 1, in a
+    --schema file and in a model file's type/relation block (line 2 there,
+    after the header)."""
+    with pytest.raises(DataError, match="^manifest line 1: expected 'type <name>'$"):
+        parse_manifest("type user\x0ctype item\n")
+    schema = tmp_path / "manifest.txt"
+    text = (trained / "data" / "manifest.txt").read_text()
+    schema.write_text(text.replace("type user\ntype item\n", "type user\x0ctype item\n"))
+    out = tmp_path / "split"
+    assert main(["split", "--schema", str(schema), "--data", str(trained / "data"),
+                 "--mode", "held-out", "--target", "R", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["relfactor: error: manifest line 1: expected 'type <name>'"]
+    assert not out.exists()
+    model = tmp_path / "model.rfm"
+    data = (trained / "model.rfm").read_bytes()
+    model.write_bytes(data.replace(b"\ntype user\ntype item\n", b"\ntype user\x0ctype item\n"))
+    with pytest.raises(DataError, match="manifest line 2: expected 'type <name>'$"):
+        load_model(model)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS_OF_SPLITLINES, ids=ascii)
+def test_manifest_errors_name_the_line_of_the_file(brk):
+    with pytest.raises(DataError, match="^manifest line 2: duplicate type 'a'$"):
+        parse_manifest(f"type a{brk}\ntype a\n")
 
 
 # --- fuzzing ------------------------------------------------------------------
