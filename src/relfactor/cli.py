@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import DataError, DivergenceError
 from .evaluation import (SplitSpec, check_threshold, classify, evaluate, split_cold_start,
                          split_held_out)
@@ -22,7 +24,7 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array
-from .schema import (Database, Manifest, build_database, format_manifest,
+from .schema import (Cells, Database, Manifest, build_database, format_manifest,
                      load_manifest, read_rows, read_tuple_stream, tuple_line_template)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
@@ -56,6 +58,16 @@ def _write_atomic(path: str | os.PathLike, text: str) -> None:
         tmp.write_text(text, encoding="utf-8")
 
 
+def _write_cells(path: str | os.PathLike, template: str, cells: Cells) -> None:
+    """Stream one ``template % (e1_id, e2_id, label)`` line per cell; the id
+    array of object dtype hands out the registry's own id strings."""
+    ids = np.array([e.id for e in cells.entities], dtype=object)
+    rows, cols, labels = cells.columns
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(map(template.__mod__, zip(ids[rows].tolist(), ids[cols].tolist(),
+                                               labels.tolist())))
+
+
 def _load_database(schema_path: str, data_dir: str) -> Database:
     manifest = load_manifest(schema_path)
     data = Path(data_dir)
@@ -81,9 +93,8 @@ def _write_database(db: Database, out_dir: str | os.PathLike) -> None:
     _write_atomic(out / "manifest.txt", format_manifest(db.manifest))
     _write_atomic(out / "entities.tsv", "".join(f"{e.type}\t{e.id}\n" for e in db.entities))
     for name, rel in db.relations.items():
-        template = tuple_line_template(rel)
-        _write_atomic(out / f"{name}.tsv",
-                      "".join([template % (e1, e2, y) for _, e1, e2, y in db.iter_tuples(name)]))
+        _write_cells(out / f"{name}.tsv", tuple_line_template(rel),
+                     Cells(name, db.entities, db.columns(name)))
 
 
 def _parse_entity_ref(ref: str) -> tuple[str, str]:
@@ -125,12 +136,15 @@ def _cmd_ingest(args) -> str:
 
     def emit(rel, triples, first_type: str):
         # triples arrive as (first_entity, second_entity, label); orient to row/col
+        if rel.row_type != first_type:
+            triples = [(second, first, y) for first, second, y in triples]
+        # a positives_only line has no label column, so label 0 would read back as 1
+        zero = rel.positives_only and next((t for t in triples if not t[2]), None)
+        if zero:
+            raise DataError(f"relation {rel.name} is positives_only but tuple "
+                            f"({zero[0]},{zero[1]}) has label 0")
         template = tuple_line_template(rel)
-        if rel.row_type == first_type:
-            lines = [template % t for t in triples]
-        else:
-            lines = [template % (second, first, y) for first, second, y in triples]
-        queued.append((out / f"{rel.name}.tsv", "".join(lines)))
+        queued.append((out / f"{rel.name}.tsv", "".join([template % t for t in triples])))
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
@@ -175,12 +189,9 @@ def _cmd_split(args) -> str:
     else:
         train_db, val, test, cold = split_cold_start(db, spec)
     _write_database(train_db, out / "train")
-
-    def cells_text(cells):
-        return "".join(f"{r}\t{a}\t{b}\t{y}\n" for r, a, b, y in cells)
-
-    _write_atomic(out / "validation.tsv", cells_text(val))
-    _write_atomic(out / "test.tsv", cells_text(test))
+    template = tuple_line_template(db.relation(args.target), labeled=True)
+    _write_cells(out / "validation.tsv", template, val)
+    _write_cells(out / "test.tsv", template, test)
     if cold is not None:
         _write_atomic(out / "cold_entities.txt", "".join(f"{e.key}\n" for e in cold))
     summary = (f"{mode} split of {args.target}: "

@@ -420,12 +420,12 @@ def format_manifest(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tuple_line_template(rel: Relation) -> str:
+def tuple_line_template(rel: Relation, labeled: bool = False) -> str:
     """%-template of one tuple-stream line of rel, newline included, to be
     filled with (e1_id, e2_id, label).
 
-    A positives_only relation's label is implied, so its field is "%.0s",
-    which prints nothing. A "%" in the relation name is escaped.
+    A positives_only relation's label is implied, so unless ``labeled`` its
+    field is "%.0s", which prints nothing. A "%" in the relation name is escaped.
     """
-    label = "%.0s" if rel.positives_only else "\t%s"
+    label = "%.0s" if rel.positives_only and not labeled else "\t%s"
     return rel.name.replace("%", "%%") + "\t%s\t%s" + label + "\n"

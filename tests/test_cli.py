@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from relfactor.cli import main
+from relfactor.cli import _write_cells, main
 from relfactor.model import EmbeddingStore, load_model, save_model
-from relfactor.schema import build_database
+from relfactor.schema import Cells, EntityRegistry, build_database
 
 from conftest import MALFORMED_MODELS, RAW_INPUTS, write_model
 
@@ -102,6 +102,20 @@ class TestSynthAndSplit:
                    "--out", str(tmp_path / "d")) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("relfactor: error: cannot allocate")
+
+
+def test_write_failing_part_way_leaves_nothing(tmp_path):
+    """Lines reach the temporary file before the whole file is formatted. A
+    line that cannot be formatted, here a two-character id for "%c" after
+    5000 cells (past the write buffer), leaves no target and no temporary file."""
+    entities = EntityRegistry(["user", "item"])
+    for etype, eid in (("user", "a"), ("item", "b"), ("item", "zz")):
+        entities.register(etype, eid)
+    columns = np.array([[0] * 5001, [1] * 5000 + [2], [1] * 5001])
+    target = tmp_path / "R.tsv"
+    with pytest.raises(TypeError, match="%c"):
+        _write_cells(target, "R\t%c\t%c\t%s\n", Cells("R", entities, columns))
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTrainCli:
@@ -384,6 +398,34 @@ class TestIngestCli:
                    "--relations", "R,BW,UW", "--k", "2", "--epochs", "2",
                    "--seed", "0", "--out", str(model)) == 0
         assert model.exists()
+
+    def test_label_zero_in_positives_only_relation_is_data_error(self, tmp_path, capsys):
+        """A positives_only line has no label column, so a label-0 rating
+        written there would read back as a positive."""
+        (tmp_path / "schema.txt").write_text("type user\ntype item\n"
+                                             "relation R user item positives_only\n")
+        (tmp_path / "ratings.tsv").write_text("u1\ti1\t5\nu1\ti2\t1\n")
+        out = tmp_path / "tuples"
+        assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
+                   "--ratings", str(tmp_path / "ratings.tsv"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("relfactor: error: relation R is positives_only "
+                                           "but tuple (u1,i2) has label 0\n")
+        assert not out.exists()
+
+    def test_naming_options_and_column_first_relation(self, tmp_path):
+        """The rating relation declared item-first gets its cells swapped
+        into row/column order, in first-seen order."""
+        (tmp_path / "schema.txt").write_text("type person\ntype business\n"
+                                             "relation Stars business person\n")
+        (tmp_path / "ratings.tsv").write_text("p1\tb2\t5\np2\tb1\t1\np1\tb1\t4\n")
+        out = tmp_path / "tuples"
+        assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
+                   "--ratings", str(tmp_path / "ratings.tsv"), "--user-type", "person",
+                   "--item-type", "business", "--rating-relation", "Stars",
+                   "--out", str(out)) == 0
+        assert [p.name for p in out.iterdir()] == ["Stars.tsv"]
+        assert (out / "Stars.tsv").read_text() == ("Stars\tb2\tp1\t1\nStars\tb1\tp2\t0\n"
+                                                   "Stars\tb1\tp1\t1\n")
 
     def test_no_inputs_is_data_error(self, tmp_path):
         self.write_raw(tmp_path)

@@ -7,7 +7,7 @@ second trains R with a fully_observed side relation and no positives_only
 relation, so its cells are drawn by the lookup path only and never by rank
 among a relation's free cells. A third pins every
 tuple file `relfactor ingest` writes from a small raw corpus, and a fourth
-the outputs of both split protocols, in memory and as the files `relfactor
+the outputs of both split protocols, in memory and as every file `relfactor
 split` writes. A fifth pins every file `relfactor synth` writes. The digests of
 the trained runs depend on numpy's floating-point kernels and on the CPU, so
 a new numpy or another machine may legitimately change them. A change that
@@ -43,6 +43,29 @@ SPLIT_CLI_SHA256 = {
     "cold-start-row test.tsv": "40f63748f716cc5111a5d1e283d0ecdfb3ad3098da6bef46be476fd7e9af1ac6",
     "cold-start-row train/R.tsv": "b1ab4611e93038de52ce3abface4f2f6f667303da8ae5798b52c987505b670a2",
     "cold-start-row cold_entities.txt": "4e4a72d2aab166eb2fa1eff8fc5cd1c93ee297874e6602d14a7673b33aa0e890",
+}
+SPLIT_CLI_EVERY_FILE_SHA256 = {
+    "held-out-col train/manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "held-out-col train/entities.tsv": "c59ef16c32e046c96f532eb0cfb7ba7b0e1e834dae4361e9ef01c7c8610b8093",
+    "held-out-col train/C.tsv": "3a3c221a31d8b85ae5479d2a55e650ab12cf619c6930538ef0825e951834b8f1",
+    "cold-start-col train/manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "cold-start-col train/entities.tsv": "c59ef16c32e046c96f532eb0cfb7ba7b0e1e834dae4361e9ef01c7c8610b8093",
+    "cold-start-col train/C.tsv": "3a3c221a31d8b85ae5479d2a55e650ab12cf619c6930538ef0825e951834b8f1",
+    "cold-start-row train/manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "cold-start-row train/entities.tsv": "c59ef16c32e046c96f532eb0cfb7ba7b0e1e834dae4361e9ef01c7c8610b8093",
+    "cold-start-row train/C.tsv": "3a3c221a31d8b85ae5479d2a55e650ab12cf619c6930538ef0825e951834b8f1",
+    "held-out-C validation.tsv": "24ffa76a6d5ecc8d3ff8fab7d7d89e115a67365ae678628d6a595bdd7cee6cf4",
+    "held-out-C test.tsv": "8cfd4b986bfc7494149f6da12abb32ff352ae742644bc95de0868e7a1e5e3895",
+    "held-out-C train/manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
+    "held-out-C train/entities.tsv": "c59ef16c32e046c96f532eb0cfb7ba7b0e1e834dae4361e9ef01c7c8610b8093",
+    "held-out-C train/R.tsv": "3826932ea6ed21eb8b8837689923951d3c5e231c32481d65d66fc5e47cbb62ea",
+    "held-out-C train/C.tsv": "946068255892c75c581e3df5ffff67c639e62f690e584837ca65f38ddaf914c3",
+    "held-out-R%s validation.tsv": "07f8ffcbee35ed2fbec73f138f60d4403b91e7f2c6b25e8da977b7b9c15abff9",
+    "held-out-R%s test.tsv": "2db5693eb48d3b72bd23153527640621282c0fd9afa28449e2a3255f54ecc73b",
+    "held-out-R%s train/manifest.txt": "3432fcdef43f3b18ee759e81d6c982afd16c23a537db74284ed5b556b23da8ec",
+    "held-out-R%s train/entities.tsv": "05bf3ad417b7f19efa0634221cc85814a911c9aa06f9b4a8d84f59c11272877e",
+    "held-out-R%s train/R%s.tsv": "12891b731e45fe289ec3fad3313f9311e6f1bd41c86ac5c7ad4a5a916130b963",
+    "held-out-R%s train/L%d.tsv": "1e31106b88b6e233a58f25a32ae310d8e7de76c79b7aec17026fbd84aaf59c61",
 }
 SYNTH_CLI_SHA256 = {
     "planted manifest.txt": "b28a074cd98dbda5549942c57f67f7cdb1822f79005d300b8783fd64d348924e",
@@ -128,6 +151,51 @@ def test_golden_split_cli_digests(tmp_path):
             if (out / name).exists():
                 digests[f"{out.name} {name}"] = sha256((out / name).read_bytes())
     assert digests == SPLIT_CLI_SHA256
+
+
+# A hand-written data directory for `relfactor split`: "%" in a relation
+# name and in ids must reach the files as it is.
+HAND_WRITTEN = {
+    "manifest.txt": ("type user\ntype item\nrelation R%s user item\n"
+                     "relation L%d item user positives_only\n"),
+    "R%s.tsv": "".join(f"R%s\tu%{u}\ti{{{i}}}\t{(u + i) % 2}\n"
+                       for u in range(6) for i in range(5)),
+    "L%d.tsv": "".join(f"L%d\ti{{{i}}}\tu%{u}\n" for u in range(6) for i in range(5) if u > i),
+}
+
+
+def test_golden_split_cli_every_file(tmp_path):
+    """The files `relfactor split` writes that SPLIT_CLI_SHA256 leaves out:
+    the training manifest, entities and C of those three splits; every file
+    of a held-out split of the positives_only C, whose validation and test
+    files keep the label column; and every file of a held-out split of the
+    hand-written R%s."""
+    data = tmp_path / "data"
+    assert main(["synth", "--users", "30", "--items", "30", "--categories", "5",
+                 "--k-true", "2", "--density", "0.5", "--seed", "3", "--out", str(data)]) == 0
+    hand = tmp_path / "hand"
+    hand.mkdir()
+    for name, text in HAND_WRITTEN.items():
+        (hand / name).write_text(text, encoding="utf-8")
+    splits = {"held-out-col": (data, ["--mode", "held-out", "--target", "R"]),
+              "cold-start-col": (data, ["--mode", "cold-start", "--target", "R"]),
+              "cold-start-row": (data, ["--mode", "cold-start", "--target", "R",
+                                        "--cold-side", "row"]),
+              "held-out-C": (data, ["--mode", "held-out", "--target", "C"]),
+              "held-out-R%s": (hand, ["--mode", "held-out", "--target", "R%s"])}
+    digests = {}
+    for name, (source, options) in splits.items():
+        out = tmp_path / name
+        assert main(["split", "--schema", str(source / "manifest.txt"), "--data", str(source),
+                     *options, "--out", str(out)]) == 0
+        for path in sorted(out.rglob("*")):
+            key = f"{name} {path.relative_to(out).as_posix()}"
+            if path.is_file() and key not in SPLIT_CLI_SHA256:
+                digests[key] = sha256(path.read_bytes())
+    assert digests == SPLIT_CLI_EVERY_FILE_SHA256
+    for name in ("validation.tsv", "test.tsv"):
+        lines = (tmp_path / "held-out-C" / name).read_text().splitlines()
+        assert lines and all(line.count("\t") == 3 and line.endswith("\t1") for line in lines)
 
 
 def test_golden_synth_cli_digests(tmp_path):

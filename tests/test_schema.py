@@ -239,10 +239,12 @@ class TestTupleStreamFiles:
                                            (" positives_only", "R%s\tu%d\tb{0}\n")])
     def test_line_template_reads_back(self, tmp_path, flag, line):
         """A "%" in the relation name or the ids stays literal, and a
-        positives_only relation writes the 3-column form."""
+        positives_only relation writes the 3-column form unless labeled."""
         manifest = parse_manifest(f"type user\ntype business\nrelation R%s user business{flag}\n")
         template = tuple_line_template(manifest.relations["R%s"])
         assert template % ("u%d", "b{0}", 1) == line
+        labeled = tuple_line_template(manifest.relations["R%s"], labeled=True)
+        assert labeled % ("u%d", "b{0}", 1) == "R%s\tu%d\tb{0}\t1\n"
         path = tmp_path / "R.tsv"
         path.write_text(line)
         assert list(read_tuple_stream(path, manifest)) == [("R%s", "u%d", "b{0}", 1)]
