@@ -9,11 +9,10 @@ nonzero exit never leaves a partially written file behind.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array
-from .schema import (Cells, Database, Manifest, build_database, format_manifest,
+from .schema import (Cells, Database, Manifest, atomic_path, build_database, format_manifest,
                      load_manifest, read_rows, read_tuple_stream, tuple_line_template)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
@@ -40,21 +39,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@contextlib.contextmanager
-def _atomic_path(path: str | os.PathLike) -> Iterator[Path]:
-    """Yield a temp path; rename it onto ``path`` only on success."""
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-    try:
-        yield tmp
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_atomic(path: str | os.PathLike, text: str) -> None:
-    with _atomic_path(path) as tmp:
+    with atomic_path(path) as tmp:
         tmp.write_text(text, encoding="utf-8")
 
 
@@ -63,7 +49,7 @@ def _write_cells(path: str | os.PathLike, template: str, cells: Cells) -> None:
     array of object dtype hands out the registry's own id strings."""
     ids = np.array([e.id for e in cells.entities], dtype=object)
     rows, cols, labels = cells.columns
-    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.writelines(map(template.__mod__, zip(ids[rows].tolist(), ids[cols].tolist(),
                                                labels.tolist())))
 
@@ -212,8 +198,7 @@ def _cmd_train(args) -> str:
     if args.validation:
         validation = list(read_tuple_stream(args.validation, db.manifest))
     store, log = train(db, config, validation=validation)
-    with _atomic_path(args.out) as tmp:
-        save_model(store, tmp)
+    save_model(store, args.out)
     if args.log:
         _write_atomic(args.log, log.to_tsv())
     last = log.entries[-1]

@@ -1,8 +1,10 @@
 /* The compiled kernels of relfactor: run_epoch, one SGD epoch of train(),
- * and parse_rows, the number parser of load_model(). parse_rows reads only
- * the biases and coordinates of the entity lines; load_model's one Python
- * walk over the lines checks every key and offset line and raises every
- * error, and reads the numbers itself with float() when parse_rows refuses.
+ * and parse_rows, the number parser of load_model(), which reads most
+ * numbers with integer arithmetic and the rest with strtod. parse_rows
+ * reads only the biases and coordinates of the entity lines; load_model's
+ * one Python walk over the lines checks every key and offset line and
+ * raises every error, and reads the numbers itself with float() when
+ * parse_rows refuses.
  *
  * run_epoch runs the epoch over int64 columns, in example order. Each step
  * is the update rule of train.py, operation for operation as the Python
@@ -65,13 +67,24 @@ int64_t run_epoch(double *V, int64_t k, double *b, double *g,
     return -1;
 }
 
-/* parse_rows: the bias and coordinates of every entity line of a model file,
- * read with strtod. A number is accepted only when it is a run of
- * [0-9.eE+-] of at most TOKEN_MAX bytes that strtod reads whole, is finite
- * and ends at its separator. On that grammar glibc strtod and Python float()
- * both round correctly, so an accepted number has the bits float() gives it.
- * Anything else (hex, nan, inf, blanks, underscores, or a numeric locale
- * whose decimal point is not ".") refuses the line. */
+/* parse_rows: the bias and coordinates of every entity line of a model file.
+ * A number is accepted only when it is a run of [0-9.eE+-] of at most
+ * TOKEN_MAX bytes that is a whole decimal, is finite and ends at its
+ * separator. Every accepted number is correctly rounded, so it has the bits
+ * Python float() gives it. Anything else (hex, nan, inf, blanks, underscores)
+ * refuses the line.
+ *
+ * A token is first read by fast_decimal, straight from the text with integer
+ * arithmetic (Clinger 1990; Lemire 2021): at most 19 significant digits m
+ * and a decimal exponent e in -27..27, which covers every %.17g number
+ * between 1e-11 and 1e28 in magnitude. 5^27 < 2^63, so m * 5^e fits in 128
+ * bits for e >= 0; for e < 0 the normalised m, shifted left by 64, is
+ * divided by 5^-e, with a sticky bit for a nonzero remainder. The integer
+ * is rounded once to 53 bits, half to even, and scaled by its power of two
+ * with ldexp, which is exact in this range. Every token fast_decimal
+ * declines is copied out and read with strtod; glibc strtod rounds
+ * correctly too, but refuses a token under a numeric locale whose decimal
+ * point is not ".". Without unsigned __int128 every token goes to strtod. */
 #define TOKEN_MAX 40
 
 static int is_number_char(char c)
@@ -79,24 +92,130 @@ static int is_number_char(char c)
     return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-';
 }
 
+#if defined(__SIZEOF_INT128__)
+#define FAST_DIGITS 19  /* 10^19 - 1 < 2^64 */
+#define FAST_EXP 27     /* 5^27 < 2^63 */
+
+static const uint64_t POW5[FAST_EXP + 1] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL, 390625ULL,
+    1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL, 1220703125ULL, 6103515625ULL,
+    30517578125ULL, 152587890625ULL, 762939453125ULL, 3814697265625ULL,
+    19073486328125ULL, 95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL};
+
+/* Reads the decimal at s, before end, into *out, correctly rounded, and
+ * returns the end of it; NULL declines the decimal, which is then strtod's
+ * to read or refuse. A decimal is [+-]digits[.digits] or [+-][digits].digits
+ * with at least one digit, then an optional [eE][+-]digits. */
+static const char *fast_decimal(const char *s, const char *end, double *out)
+{
+    int neg = s < end && *s == '-';
+    if (s < end && (*s == '+' || *s == '-'))
+        s++;
+    const char *start = s;
+    while (s < end && *s == '0')
+        s++;
+    const char *sig = s;  /* the first significant digit, in m */
+    uint64_t m = 0;       /* wraps past 19 digits, which are declined */
+    for (; s < end && (unsigned)(*s - '0') < 10; s++)
+        m = m * 10 + (uint64_t)(*s - '0');
+    int64_t digits = s - sig, e = 0;
+    int any = s > start;
+    if (s < end && *s == '.') {
+        const char *frac = ++s;
+        if (m == 0)
+            while (s < end && *s == '0')
+                s++;
+        sig = s;
+        for (; s < end && (unsigned)(*s - '0') < 10; s++)
+            m = m * 10 + (uint64_t)(*s - '0');
+        digits += s - sig;
+        e = frac - s;
+        any |= s > frac;
+    }
+    if (!any || digits > FAST_DIGITS)
+        return NULL;
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        s++;
+        int eneg = s < end && *s == '-';
+        if (s < end && (*s == '+' || *s == '-'))
+            s++;
+        const char *x0 = s;
+        int64_t x = 0;
+        for (; s < end && (unsigned)(*s - '0') < 10; s++)
+            if (x < 1000000)  /* far past the range; a longer run only adds digits */
+                x = x * 10 + (*s - '0');
+        if (s == x0)
+            return NULL;
+        e += eneg ? -x : x;
+    }
+    if (m == 0) {
+        *out = neg ? -0.0 : 0.0;
+        return s;
+    }
+    if (e < -FAST_EXP || e > FAST_EXP)
+        return NULL;
+
+    /* value = (n + a fraction below one, nonzero iff sticky) * 2^bexp */
+    unsigned __int128 n;
+    int bexp, sticky = 0;
+    if (e >= 0) {
+        n = (unsigned __int128)m * POW5[e];
+        bexp = (int)e;
+    } else {
+        int z = __builtin_clzll(m);
+        unsigned __int128 num = (unsigned __int128)(m << z) << 64;
+        n = num / POW5[-e];
+        sticky = n * POW5[-e] != num;
+        bexp = (int)e - 64 - z;
+    }
+    uint64_t hi = (uint64_t)(n >> 64);
+    int bits = hi ? 128 - __builtin_clzll(hi) : 64 - __builtin_clzll((uint64_t)n);
+    if (bits > 53) {
+        int shift = bits - 53;
+        unsigned __int128 half = (unsigned __int128)1 << (shift - 1);
+        unsigned __int128 rest = n & ((half << 1) - 1);
+        uint64_t mant = (uint64_t)(n >> shift);
+        if (rest > half || (rest == half && (sticky || (mant & 1))))
+            mant++;  /* may reach 2^53, which is still exact */
+        n = mant;
+        bexp += shift;
+    }
+    double x = ldexp((double)(uint64_t)n, bexp);
+    *out = neg ? -x : x;
+    return s;
+}
+#else
+static const char *fast_decimal(const char *s, const char *end, double *out)
+{
+    (void)s, (void)end, (void)out;
+    return NULL;
+}
+#endif
+
 /* Reads the number at *p into *out and moves *p past the separator sep that
- * must follow it; a '\n' separator may also be the end of the text.
- * The token is copied out first, so strtod never reads past it. */
+ * must follow it; a '\n' separator may also be the end of the text. A token
+ * that fast_decimal does not read whole is copied out first, so strtod
+ * never reads past it. */
 static int read_number(const char **p, const char *end, char sep, double *out)
 {
-    const char *s = *p, *t = s;
-    while (t < end && t - s <= TOKEN_MAX && is_number_char(*t))
-        t++;
-    size_t n = (size_t)(t - s);
-    if (n == 0 || n > TOKEN_MAX || (t < end ? *t != sep : sep != '\n'))
-        return 0;
-    char token[TOKEN_MAX + 1], *stop;
-    memcpy(token, s, n);
-    token[n] = '\0';
-    double x = strtod(token, &stop);
-    if (stop != token + n || !isfinite(x))
-        return 0;
-    *out = x;
+    const char *s = *p, *t = fast_decimal(s, end, out);
+    if (!t || t - s > TOKEN_MAX || (t < end ? *t != sep : sep != '\n')) {
+        t = s;
+        while (t < end && t - s <= TOKEN_MAX && is_number_char(*t))
+            t++;
+        size_t n = (size_t)(t - s);
+        if (n == 0 || n > TOKEN_MAX || (t < end ? *t != sep : sep != '\n'))
+            return 0;
+        char token[TOKEN_MAX + 1], *stop;
+        memcpy(token, s, n);
+        token[n] = '\0';
+        double x = strtod(token, &stop);
+        if (stop != token + n || !isfinite(x))
+            return 0;
+        *out = x;
+    }
     *p = t < end ? t + 1 : t;
     return 1;
 }

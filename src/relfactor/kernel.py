@@ -1,5 +1,7 @@
 """Loader of the compiled kernels, ``kernel.c``: the SGD epoch of train()
-and the number parser of load_model().
+and the number parser of load_model(), which reads a decimal of at most 19
+significant digits and a decimal exponent in -27..27 exactly with integer
+arithmetic and any other with strtod, so every number has float()'s bits.
 
 The library is compiled on first use, with sysconfig's CC or else ``cc`` or
 ``gcc`` on PATH, and cached per user in ``$XDG_CACHE_HOME/relfactor`` (else

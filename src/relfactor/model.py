@@ -17,7 +17,7 @@ from .errors import DataError
 from .kernel import library
 from .rng import substream
 from .schema import (Cells, Database, EntityRegistry, LabeledCell, Manifest, Relation,
-                     format_manifest, parse_manifest, read_text)
+                     atomic_path, format_manifest, parse_manifest, read_text)
 
 MODEL_MAGIC = "relfactor-model"
 MODEL_VERSION = "v1"
@@ -211,6 +211,9 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
 
     The header line is followed by the type/relation block in manifest
     format, one line per entity, then the relation offsets when biases are on.
+    The file is written under a temporary name and renamed onto path, so a
+    save that fails leaves whatever path held before: the file records no
+    entity count, and a partly written one would load as a smaller store.
     """
     header = f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
     manifest = Manifest(list(store.entities.types), store.relations)
@@ -225,7 +228,7 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     if store.enable_biases:
         for name, value in zip(store.relations, store.offsets.tolist()):
             lines.append(f"offset {name} {value:.17g}")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 

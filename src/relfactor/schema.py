@@ -8,10 +8,12 @@ splits keep withheld entities in the registry).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +44,12 @@ class Relation:
             )
 
 
-@dataclass(frozen=True)
-class Entity:
-    """A registered entity. ordinal is dense within its type; index is global."""
+class Entity(NamedTuple):
+    """A registered entity. ordinal is dense within its type; index is global.
+
+    Immutable and hashable. A NamedTuple because load_model and
+    build_database make one per entity, and a frozen dataclass's __init__
+    costs about three times as much."""
 
     type: str
     id: str
@@ -137,7 +142,7 @@ class EntityRegistry:
             raise DataError(f"unknown entity type {etype!r}")
         if not eid:
             raise DataError("empty entity id")
-        ent = Entity(etype, eid, ordinal=len(self._by_type[etype]), index=len(self._all))
+        ent = Entity(etype, eid, len(self._by_type[etype]), len(self._all))
         self._by_key[key] = ent
         self._by_type[etype].append(ent)
         self._all.append(ent)
@@ -349,6 +354,19 @@ def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str,
 
 
 # --- file formats -----------------------------------------------------------
+
+@contextlib.contextmanager
+def atomic_path(path: str | os.PathLike) -> Iterator[Path]:
+    """Yield a temp path; rename it onto ``path`` only on success."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def read_text(path: str | os.PathLike) -> str:
     """Whole contents of a UTF-8 text file, ``\\r\\n`` and ``\\r`` read as ``\\n``."""

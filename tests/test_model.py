@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 import tracemalloc
@@ -290,6 +291,41 @@ class TestPersistence:
             assert [e.key for e in loaded.entities] == [e.key for e in store.entities]
             assert set(loaded.relations) == set(store.relations)
 
+    def test_failed_save_leaves_old_file_and_no_temporary(self, simple_db, tmp_path,
+                                                          monkeypatch):
+        """A save that raises part-way through its write over an existing
+        model leaves the old bytes: a partly written file would load as a
+        store with fewer entities."""
+        rng = np.random.default_rng(6)
+        n = len(simple_db.entities)
+        path = tmp_path / "m.rfm"
+        save_model(EmbeddingStore(simple_db.entities, simple_db.relations,
+                                  rng.normal(size=(n, 3))), path)
+        old = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[:len(text) // 2])
+                self.file.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(model, "open", lambda *a, **kw: FullDisk(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_model(EmbeddingStore(simple_db.entities, simple_db.relations,
+                                      rng.normal(size=(n, 3))), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rfm"]
+
     def test_roundtrip_many_entities(self, simple_manifest, tmp_path):
         stream = [("R", f"u{i}", f"b{i}", 1) for i in range(50)]
         db = build_database(simple_manifest, stream)
@@ -577,3 +613,67 @@ class TestCompiledRowParser:
         compiled, python = both_paths(path, tmp_path)
         assert compiled == python
         assert compiled.endswith(error)
+
+
+# --- the compiled parser's integer fast path against float() -----------------
+
+def load_tokens(tokens, directory):
+    """load_model of a one-entity model file whose bias and coordinates are
+    tokens, with the compiled library (which must then read every number
+    itself) and without it; asserts both give float() of every token."""
+    path = directory / "m.rfm"
+    write_model(path, [f"relfactor-model v1 k={len(tokens) - 1} biases=1", "type user",
+                       f"user:u\tb={tokens[0]}\t" + " ".join(tokens[1:])])
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel.library() is not None:
+            mp.setattr(model, "_float_row", None)  # every number from kernel.c
+        compiled = load_outcome(path)
+    with without_library(directory / "empty-cache"):
+        python = load_outcome(path)
+    expected = np.array([float(t) for t in tokens])
+    assert compiled[1] == python[1] == expected[1:].tobytes()
+    assert compiled[2] == python[2] == expected[:1].tobytes()
+
+
+@st.composite
+def decimal_tokens(draw):
+    """A plain decimal with 15-20 significant digits and a decimal exponent
+    in -29..29, in any of the written forms (sign, leading and trailing
+    zeros, "1." and ".5", with and without an exponent part); or a 19-digit
+    decimal within one unit of the midpoint between two adjacent doubles."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    if draw(st.booleans()):
+        x = draw(st.floats(1e-9, 1e40))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 200
+            mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+            mantissa, exponent = format(mid, ".18e").split("e")
+        digits = int(mantissa.replace(".", "")) + draw(st.integers(-1, 1))
+        return f"{sign}{digits}e{int(exponent) - 18}"
+    n = draw(st.integers(15, 20))
+    digits = str(draw(st.integers(10 ** (n - 1), 10 ** n - 1)))
+    digits = "0" * draw(st.integers(0, 2)) + digits + "0" * draw(st.integers(0, 2))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    written = digits if point is None else digits[:point] + "." + digits[point:]
+    fraction = 0 if point is None else len(digits) - point
+    exponent = draw(st.integers(-29, 29)) + fraction  # as written after the e
+    if exponent or draw(st.booleans()):
+        written += draw(st.sampled_from(["e", "E"])) + (
+            f"{exponent:+d}" if draw(st.booleans()) else str(exponent))
+    return sign + written
+
+
+class TestFastPath:
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=st.lists(decimal_tokens(), min_size=2, max_size=40))
+    def test_same_bits_as_float(self, tokens, tmp_path_factory):
+        load_tokens(tokens, tmp_path_factory.mktemp("fast"))
+
+    def test_edge_tokens(self, tmp_path):
+        """2^53 + 1, a tie that rounds to even; both ends of the exponent
+        range and one past each; 19 and 20 digits; a signed zero; a decimal
+        just above a midpoint whose quotient bits read as an exact tie, so
+        only the remainder rounds it up."""
+        load_tokens(["9007199254740993", "1e-27", "1e-28", "1e27", "1e28",
+                     "1234567890123456789e-20", "12345678901234567891e-21", "-0",
+                     "0.00000000000000000000000000001", "9833915031184117609e-27"], tmp_path)

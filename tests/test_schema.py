@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from relfactor.embed_tools import nearest_neighbors
 from relfactor.errors import DataError
 from relfactor.model import EmbeddingStore
-from relfactor.schema import (build_database, degree_stats, lookup,
+from relfactor.schema import (Entity, build_database, degree_stats, lookup,
                               parse_manifest, read_tuple_stream, tuple_line_template)
 
 from conftest import RICH_MANIFEST, TWO_TYPE_MANIFEST
@@ -157,6 +157,31 @@ class TestEntityIndices:
     def test_unknown_type_rejected(self, simple_db):
         with pytest.raises(DataError, match="unknown entity type"):
             simple_db.entities.indices("shop")
+
+
+class TestEntity:
+    """The contract of a registered Entity, whatever class implements it."""
+
+    def test_fields_key_and_repr(self, simple_db):
+        ent = simple_db.entities.get("user", "u2")
+        assert Entity._fields == ("type", "id", "ordinal", "index")
+        assert (ent.type, ent.id, ent.ordinal, ent.index) == ("user", "u2", 1, 3)
+        assert ent.key == "user:u2"
+        assert repr(ent) == "Entity(type='user', id='u2', ordinal=1, index=3)"
+
+    def test_same_registration_equal_and_hashes_alike(self, simple_manifest):
+        stream = [("R", "u1", "b1", 1), ("R", "u2", "b1", 0)]
+        a, b = (build_database(simple_manifest, stream).entities.get("user", "u2")
+                for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("field", ["type", "id", "ordinal", "index", "key"])
+    def test_immutable(self, simple_db, field):
+        ent = simple_db.entities.get("user", "u1")
+        with pytest.raises(AttributeError):
+            setattr(ent, field, 7)
+        assert simple_db.entities.get("user", "u1") == ent
 
 
 class TestLookup:
