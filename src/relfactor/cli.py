@@ -22,12 +22,15 @@ from .evaluation import (SplitSpec, check_threshold, classify, evaluate, split_c
 from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
-from .model import load_model, save_model, score_cells, sigmoid_array
+from .model import load_model, save_model, score_cells, sigmoid_array, write_rows
 from .schema import (Cells, Database, Manifest, atomic_path, build_database, format_manifest,
                      load_manifest, read_rows, read_tuple_stream, tuple_line_template)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
+
+
+_CELL_BLOCK = 1 << 16  # _write_cells joins and writes this many lines at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,13 +48,17 @@ def _write_atomic(path: str | os.PathLike, text: str) -> None:
 
 
 def _write_cells(path: str | os.PathLike, template: str, cells: Cells) -> None:
-    """Stream one ``template % (e1_id, e2_id, label)`` line per cell; the id
-    array of object dtype hands out the registry's own id strings."""
+    """Write one ``template % (e1_id, e2_id, label)`` line per cell, joined
+    and written _CELL_BLOCK lines at a time; the id array of object dtype
+    hands out the registry's own id strings."""
     ids = np.array([e.id for e in cells.entities], dtype=object)
     rows, cols, labels = cells.columns
     with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        f.writelines(map(template.__mod__, zip(ids[rows].tolist(), ids[cols].tolist(),
-                                               labels.tolist())))
+        for start in range(0, len(rows), _CELL_BLOCK):
+            block = slice(start, start + _CELL_BLOCK)
+            f.write("".join(map(template.__mod__, zip(ids[rows[block]].tolist(),
+                                                      ids[cols[block]].tolist(),
+                                                      labels[block].tolist()))))
 
 
 def _load_database(schema_path: str, data_dir: str) -> Database:
@@ -278,11 +285,9 @@ def _cmd_project(args) -> str:
 
 def _cmd_export_vectors(args) -> str:
     store = load_model(args.model)
-    # one %-format per entity, as in save_model; "%.17g" writes what
-    # format(c, ".17g") does, and ids go in as arguments
-    row = "%s:%s\t" + "\t".join(["%.17g"] * store.k) + "\n"
-    _write_atomic(args.out, "".join(row % (ent.type, ent.id, *coords) for ent, coords
-                                    in zip(store.entities, store.vectors.tolist())))
+    with atomic_path(args.out) as tmp, open(tmp, "wb") as f:
+        write_rows(f, [f"{ent.type}:{ent.id}" for ent in store.entities], store.vectors,
+                   sep="\t")
     return f"exported {len(store.entities)} vectors of dimension {store.k}"
 
 

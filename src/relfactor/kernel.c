@@ -1,10 +1,12 @@
-/* The compiled kernels of relfactor: run_epoch, one SGD epoch of train(),
- * and parse_rows, the number parser of load_model(), which reads most
- * numbers with integer arithmetic and the rest with strtod. parse_rows
- * reads only the biases and coordinates of the entity lines; load_model's
- * one Python walk over the lines checks every key and offset line and
- * raises every error, and reads the numbers itself with float() when
- * parse_rows refuses.
+/* The compiled kernels of relfactor: run_epoch, one SGD epoch of train();
+ * parse_rows, the number parser of load_model(), which reads most numbers
+ * with integer arithmetic and the rest with strtod; and format_rows, the
+ * entity-line writer of save_model() and export-vectors, which prints most
+ * numbers as "%.17g" does with integer arithmetic and leaves the rest to
+ * Python. parse_rows reads only the biases and coordinates of the entity
+ * lines; load_model's one Python walk over the lines checks every key and
+ * offset line and raises every error, and reads the numbers itself with
+ * float() when parse_rows refuses.
  *
  * run_epoch runs the epoch over int64 columns, in example order. Each step
  * is the update rule of train.py, operation for operation as the Python
@@ -258,5 +260,226 @@ int64_t parse_rows(const char *text, int64_t start, int64_t len, int64_t k,
                 return -1;
         row++;
     }
+    return row;
+}
+
+/* format_rows: entity lines "<key>\tb=<bias>\t<c1> <c2> ... <ck>\n" of a model
+ * file, or "<key>\t<c1>\t...\t<ck>\n" of export-vectors, each number as
+ * Python's "%.17g" % x prints it. The digits are exact: D, the 17 significant
+ * digits, is round-half-even(|x| * 10^(16-E)) with E = floor(log10 |x|),
+ * taken in unsigned __int128 arithmetic from x = m * 2^q (the integer method
+ * of exact printers such as Ryu, Adams 2018). For 10^(16-E) >= 1 that is
+ * m * 5^(16-E) shifted by q + 16 - E bits, and m * 5^32 < 2^128 bounds E from
+ * below at -16; for larger x it is m * 2^q divided by 10^(E-16), and
+ * m * 2^q < 2^128 bounds x from above. So the exact range is
+ * 1e-16 <= |x| < 2^128, plus both zeros. A row holding any other number
+ * (subnormal, non-finite or out of range) is declined: snprintf would round
+ * correctly too, but it costs about ten times as much here and writes the
+ * decimal point of the numeric locale, so Python writes that row from its
+ * "%" template, which stays the reference. Without unsigned __int128 every
+ * row is declined. */
+#define NUMBER_MAX 24  /* "-1.2345678901234567e+38" and a separator */
+
+#if defined(__SIZEOF_INT128__)
+#define EXACT_POW5 32  /* 2^53 * 5^32 < 2^128 */
+#define TEN16 10000000000000000ULL
+
+static unsigned __int128 pow5(int p)  /* p <= 2 * FAST_EXP */
+{
+    return p <= FAST_EXP ? POW5[p] : (unsigned __int128)POW5[FAST_EXP] * POW5[p - FAST_EXP];
+}
+
+/* The fraction f of m * 2^q * 10^s beyond its floor: 0, below one half, one
+ * half, above one half. */
+enum { EXACT, BELOW_HALF, HALF, ABOVE_HALF };
+
+static int fraction(unsigned __int128 rest, unsigned __int128 unit)  /* f = rest / unit */
+{
+    if (rest == 0)
+        return EXACT;
+    return rest < unit - rest ? BELOW_HALF : rest == unit - rest ? HALF : ABOVE_HALF;
+}
+
+/* floor(m * 2^q * 10^s) into *d and its fraction into *f; returns 0 when that
+ * cannot be had exactly in 128 bits or the floor is not below 2^64. */
+static int scaled(uint64_t m, int q, int s, uint64_t *d, int *f)
+{
+    unsigned __int128 n, quo;
+    if (s >= 0) {
+        if (s > EXACT_POW5)
+            return 0;
+        n = (unsigned __int128)m * pow5(s);
+        int t = q + s;
+        if (t >= 0) {
+            if (t > 64 || (n >> (64 - t)) != 0)
+                return 0;
+            *d = (uint64_t)(n << t);
+            *f = EXACT;
+            return 1;
+        }
+        if (t <= -128)
+            return 0;
+        quo = n >> -t;
+        *f = fraction(n - (quo << -t), (unsigned __int128)1 << -t);
+    } else {
+        int p = -s;
+        if (q < 0 || q > 128 - 53 || p > 38)
+            return 0;
+        n = (unsigned __int128)m << q;
+        unsigned __int128 ten = pow5(p) << p;
+        quo = n / ten;
+        *f = fraction(n - quo * ten, ten);
+    }
+    if (quo >> 64)
+        return 0;
+    *d = (uint64_t)quo;
+    return 1;
+}
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+static void write8(char *out, uint32_t x)  /* the 8 digits of x < 10^8 */
+{
+    uint32_t a = x / 10000, b = x % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (a / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (a % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (b / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (b % 100), 2);
+}
+
+/* Writes x at out as "%.17g" % x and returns the end, or NULL when x is
+ * outside the exact range. */
+static char *write_g17(char *out, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    if (biased == 0x7ff || (biased == 0 && frac))
+        return NULL;
+    if (bits >> 63)
+        *out++ = '-';
+    if (biased == 0) {
+        *out++ = '0';
+        return out;
+    }
+    uint64_t m = frac | 1ULL << 52;
+    int q = biased - 1075;  /* |x| = m * 2^q, 2^(q+52) <= |x| < 2^(q+53) */
+    /* e = floor((q+52) log10 2), exact for |q+52| <= 1650 (Ryu's log10Pow2),
+     * so e <= E <= e + 1 for E = floor(log10 |x|) */
+    int n2 = q + 52, e = n2 >= 0 ? (n2 * 78913) >> 18 : -((-n2 * 78913 >> 18) + 1);
+    if (16 - e > EXACT_POW5)  /* E may still be in range: then E = e + 1 */
+        e++;
+    uint64_t d;
+    int f;
+    if (!scaled(m, q, 16 - e, &d, &f) || d < TEN16)  /* d < 10^16: E = e - 1 < -16 */
+        return NULL;
+    int up;
+    if (d >= 10 * TEN16) {  /* E = e + 1: one digit more to round off */
+        int last = (int)(d % 10);
+        d /= 10;
+        e++;
+        up = last > 5 || (last == 5 && (f != EXACT || (d & 1)));
+    } else {
+        up = f == ABOVE_HALF || (f == HALF && (d & 1));
+    }
+    d += up;
+    if (d == 10 * TEN16) {  /* the carry: 9.99...95e(E) rounds to 1e(E+1) */
+        d = TEN16;
+        e++;
+    }
+    char digits[17];
+    uint32_t hi = (uint32_t)(d / 100000000);  /* below 10^9 */
+    digits[0] = (char)('0' + hi / 100000000);
+    write8(digits + 1, hi % 100000000);
+    write8(digits + 9, (uint32_t)(d % 100000000));
+    int nd = 17;
+    while (digits[nd - 1] == '0')
+        nd--;
+    if (e < -4 || e >= 17) {  /* %g's scientific notation; here |e| <= 38 */
+        *out++ = digits[0];
+        if (nd > 1) {
+            *out++ = '.';
+            memcpy(out, digits + 1, (size_t)(nd - 1));
+            out += nd - 1;
+        }
+        *out++ = 'e';
+        *out++ = e < 0 ? '-' : '+';
+        int a = e < 0 ? -e : e;
+        *out++ = (char)('0' + a / 10);
+        *out++ = (char)('0' + a % 10);
+    } else if (e >= 0) {
+        int whole = e + 1;
+        memcpy(out, digits, (size_t)(nd < whole ? nd : whole));
+        if (nd <= whole) {
+            memset(out + nd, '0', (size_t)(whole - nd));
+            out += whole;
+        } else {
+            out += whole;
+            *out++ = '.';
+            memcpy(out, digits + whole, (size_t)(nd - whole));
+            out += nd - whole;
+        }
+    } else {
+        *out++ = '0';
+        *out++ = '.';
+        memset(out, '0', (size_t)(-e - 1));
+        out += -e - 1;
+        memcpy(out, digits, (size_t)nd);
+        out += nd;
+    }
+    return out;
+}
+#else
+static char *write_g17(char *out, double x)
+{
+    (void)out, (void)x;
+    return NULL;
+}
+#endif
+
+/* Row r's key is keys[offsets[r]:offsets[r+1]], its bias biases[r] (no bias
+ * field when biases is NULL) and its coordinates row r of vectors, which is
+ * (n, k) row-major; the coordinates are separated by sep. The lines go to
+ * out, which holds capacity bytes, and *length gets the bytes written.
+ * Returns the number of whole rows written: n, or the index of the first row
+ * that holds a number outside the exact range or might not fit in what is
+ * left of out, none of which is written. */
+int64_t format_rows(const char *keys, const int64_t *offsets, const double *biases,
+                    const double *vectors, int64_t n, int64_t k, char sep,
+                    char *out, int64_t capacity, int64_t *length)
+{
+    char *p = out;
+    int64_t row = 0;
+    for (; row < n; row++) {
+        int64_t key = offsets[row + 1] - offsets[row];
+        if (capacity - (p - out) < key + 4 + (k + 1) * NUMBER_MAX)
+            break;
+        char *q = p;
+        memcpy(q, keys + offsets[row], (size_t)key);
+        q += key;
+        *q++ = '\t';
+        if (biases) {
+            *q++ = 'b';
+            *q++ = '=';
+            if (!(q = write_g17(q, biases[row])))
+                break;
+            *q++ = '\t';
+        }
+        const double *v = vectors + row * k;
+        for (int64_t d = 0; d < k && q; d++) {
+            if (d)
+                *q++ = sep;
+            q = write_g17(q, v[d]);
+        }
+        if (!q)
+            break;
+        *q++ = '\n';
+        p = q;
+    }
+    *length = p - out;
     return row;
 }

@@ -1,7 +1,9 @@
-"""Loader of the compiled kernels, ``kernel.c``: the SGD epoch of train()
-and the number parser of load_model(), which reads a decimal of at most 19
+"""Loader of the compiled kernels, ``kernel.c``: the SGD epoch of train();
+the number parser of load_model(), which reads a decimal of at most 19
 significant digits and a decimal exponent in -27..27 exactly with integer
-arithmetic and any other with strtod, so every number has float()'s bits.
+arithmetic and any other with strtod, so every number has float()'s bits;
+and the row writer of save_model() and export-vectors, which prints every
+number in 1e-16 <= |x| < 2^128, and both zeros, as ``"%.17g" % x`` does.
 
 The library is compiled on first use, with sysconfig's CC or else ``cc`` or
 ``gcc`` on PATH, and cached per user in ``$XDG_CACHE_HOME/relfactor`` (else
@@ -13,9 +15,9 @@ by the current user that no one else can write to.
 
 ``library()`` returns the one ``Library`` of a process, or None when there
 is no compiler, the compile fails, no cache directory is usable or the
-library does not load; train() then runs its Python reference loop and
-load_model() reads the numbers with float(), which give the same numbers and
-the same errors.
+library does not load; train() then runs its Python reference loop,
+load_model() reads the numbers with float() and save_model() writes them
+with its "%" template, which give the same numbers, bytes and errors.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ CACHE_DIR: Optional[Path] = None  # when set, the only cache directory tried
 
 EpochKernel = Callable[..., int]
 RowParser = Callable[[bytes, int, int, int], Optional[tuple[np.ndarray, np.ndarray]]]
+RowFormatter = Callable[..., tuple[int, int]]
 
 
 class Library(NamedTuple):
     run_epoch: EpochKernel
     parse_rows: RowParser
+    format_rows: RowFormatter
 
 
 # The compile path imports shlex, subprocess and sysconfig itself: a process
@@ -115,7 +119,7 @@ def _compile(cc: list[str], source: bytes, target: Path) -> bool:
 def _open(path: Path) -> Optional[Library]:
     try:
         lib = ctypes.CDLL(str(path))
-        return Library(_epoch(lib.run_epoch), _rows(lib.parse_rows))
+        return Library(_epoch(lib.run_epoch), _rows(lib.parse_rows), _format(lib.format_rows))
     except (OSError, AttributeError):
         return None
 
@@ -178,6 +182,42 @@ def _rows(fn) -> RowParser:
         n = fn(data, start, len(data), k, biases.ctypes.data, vectors.ctypes.data, capacity)
         return None if n < 0 else (biases[:n], vectors[:n])
     return parse_rows
+
+
+def _format(fn) -> RowFormatter:
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ctypes.c_char_p, ptr, ptr, ptr, i64, i64, ctypes.c_char, ptr, i64,
+                   ctypes.POINTER(i64)]
+    fn.restype = i64
+
+    def format_rows(keys: bytes, offsets: np.ndarray, biases: Optional[np.ndarray],
+                    vectors: np.ndarray, sep: bytes, out: np.ndarray) -> tuple[int, int]:
+        """(rows, length): the first rows lines of the n rows of vectors,
+        written to out[:length]. Row r's key is keys[offsets[r]:offsets[r+1]]
+        (n + 1 int64 offsets), its bias biases[r], with no bias field when
+        biases is None, and its coordinates are separated by the one byte
+        sep. rows < n when row rows holds a number outside the exact range
+        or might not fit in the rest of out. See format_rows in kernel.c."""
+        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        n = len(vectors)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if biases is not None:
+            biases = np.ascontiguousarray(biases, dtype=np.float64)
+        if vectors.ndim != 2 or offsets.shape != (n + 1,) or (biases is not None
+                                                              and biases.shape != (n,)):
+            raise ValueError("need (n, k) vectors, n + 1 offsets and n biases")
+        if not (isinstance(keys, bytes) and len(sep) == 1 and out.dtype == np.uint8
+                and out.ndim == 1 and out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("keys must be bytes, sep one byte and out a writable byte array")
+        if n and not (0 <= offsets[0] and (np.diff(offsets) >= 0).all()
+                      and offsets[-1] <= len(keys)):
+            raise ValueError("key offsets out of order or out of range")
+        length = ctypes.c_int64()
+        rows = fn(keys, offsets.ctypes.data, None if biases is None else biases.ctypes.data,
+                  vectors.ctypes.data, n, vectors.shape[1], sep, out.ctypes.data, len(out),
+                  ctypes.byref(length))
+        return rows, length.value
+    return format_rows
 
 
 def load() -> Optional[Library]:

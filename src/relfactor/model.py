@@ -22,6 +22,7 @@ from .schema import (Cells, Database, EntityRegistry, LabeledCell, Manifest, Rel
 MODEL_MAGIC = "relfactor-model"
 MODEL_VERSION = "v1"
 _SCORE_BLOCK = 8192  # score_cells gathers the vectors of this many cells at a time
+_WRITE_VALUES = 1 << 16  # write_rows formats about this many numbers at a time
 
 
 def sigmoid(s: float) -> float:
@@ -214,22 +215,75 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     The file is written under a temporary name and renamed onto path, so a
     save that fails leaves whatever path held before: the file records no
     entity count, and a partly written one would load as a smaller store.
+    A non-finite parameter, which load_model would refuse, raises DataError
+    before anything is written.
     """
+    bad = ~np.isfinite(store.vectors).all(axis=1)
+    if store.enable_biases:
+        bad |= ~np.isfinite(store.biases)
+    if bad.any():
+        raise DataError("cannot save a non-finite bias or coordinate of entity "
+                        + store.entities.at(int(np.argmax(bad))).key)
+    offsets = list(zip(store.relations, store.offsets.tolist())) if store.enable_biases else []
+    bad_offset = next((name for name, value in offsets if not math.isfinite(value)), None)
+    if bad_offset is not None:
+        raise DataError(f"cannot save a non-finite offset of relation {bad_offset!r}")
     header = f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
     manifest = Manifest(list(store.entities.types), store.relations)
-    lines = [header, *format_manifest(manifest).splitlines()]
-    # One %-format per entity line; "%.17g" writes what format(c, ".17g")
-    # does, and ids go in as arguments, so a "%" in them stays literal.
-    row = "%s:%s\tb=%.17g\t" + " ".join(["%.17g"] * store.k)
-    vectors = store.vectors.tolist()
-    biases = store.biases.tolist() if store.enable_biases else [0.0] * len(vectors)
-    for ent, b, coords in zip(store.entities, biases, vectors):
-        lines.append(row % (ent.type, ent.id, b, *coords))
-    if store.enable_biases:
-        for name, value in zip(store.relations, store.offsets.tolist()):
-            lines.append(f"offset {name} {value:.17g}")
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    head = "".join(line + "\n" for line in [header, *format_manifest(manifest).splitlines()])
+    keys = [f"{ent.type}:{ent.id}" for ent in store.entities]
+    biases = store.biases if store.enable_biases else np.zeros(len(keys))
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        f.write(head.encode("utf-8"))
+        write_rows(f, keys, store.vectors, biases)
+        f.write("".join(f"offset {name} {value:.17g}\n" for name, value in offsets).encode())
+
+
+def write_rows(file, keys: Sequence[str], vectors: np.ndarray,
+               biases: Optional[np.ndarray] = None, sep: str = " ") -> None:
+    """Write one line per row of vectors to the binary file,
+    "<key>\tb=<bias>\t<c1><sep>...<sep><ck>\n", with no bias field when
+    biases is None, every number as "%.17g" % x writes it.
+
+    Blocks of about _WRITE_VALUES numbers are formatted into one buffer and
+    written at once, by the compiled library when it is available
+    (kernel.format_rows); the rows it declines, and every row without it,
+    come from the "%" template, the reference. Both give the same bytes.
+    """
+    n, k = vectors.shape
+    row = ("%s\tb=%.17g\t" if biases is not None else "%s\t") + sep.join(["%.17g"] * k) + "\n"
+
+    def reference(start: int, stop: int) -> bytes:
+        values = vectors[start:stop] if biases is None else np.column_stack(
+            [biases[start:stop], vectors[start:stop]])
+        return "".join([row % (key, *line) for key, line
+                        in zip(keys[start:stop], values.tolist())]).encode("utf-8")
+
+    lib = library()
+    block = max(1, _WRITE_VALUES // (k + 1))
+    buffer = np.empty(0, dtype=np.uint8)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        if lib is None:
+            file.write(reference(start, stop))
+            continue
+        encoded = [key.encode("utf-8") for key in keys[start:stop]]
+        data = b"".join(encoded)
+        key_ends = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum(list(map(len, encoded)), out=key_ends[1:])
+        capacity = len(data) + len(encoded) * (4 + (k + 1) * 24)  # see NUMBER_MAX in kernel.c
+        if len(buffer) < capacity:
+            buffer = np.empty(capacity, dtype=np.uint8)
+        at = start
+        while at < stop:
+            rows, length = lib.format_rows(data, key_ends[at - start:],
+                                           None if biases is None else biases[at:stop],
+                                           vectors[at:stop], sep.encode(), buffer)
+            file.write(buffer[:length])
+            at += rows
+            if at < stop:  # a row with a number outside the compiled writer's range
+                file.write(reference(at, at + 1))
+                at += 1
 
 
 def load_model(path: str | os.PathLike) -> EmbeddingStore:

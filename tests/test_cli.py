@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relfactor.cli import _write_cells, main
+from relfactor.cli import _CELL_BLOCK, _write_cells, main
 from relfactor.model import EmbeddingStore, load_model, save_model
 from relfactor.schema import Cells, EntityRegistry, build_database
 
@@ -107,11 +107,12 @@ class TestSynthAndSplit:
 def test_write_failing_part_way_leaves_nothing(tmp_path):
     """Lines reach the temporary file before the whole file is formatted. A
     line that cannot be formatted, here a two-character id for "%c" after
-    5000 cells (past the write buffer), leaves no target and no temporary file."""
+    one whole block of cells, leaves no target and no temporary file."""
     entities = EntityRegistry(["user", "item"])
     for etype, eid in (("user", "a"), ("item", "b"), ("item", "zz")):
         entities.register(etype, eid)
-    columns = np.array([[0] * 5001, [1] * 5000 + [2], [1] * 5001])
+    n = _CELL_BLOCK + 1
+    columns = np.array([[0] * n, [1] * (n - 1) + [2], [1] * n])
     target = tmp_path / "R.tsv"
     with pytest.raises(TypeError, match="%c"):
         _write_cells(target, "R\t%c\t%c\t%s\n", Cells("R", entities, columns))
@@ -343,18 +344,22 @@ class TestEmbedCli:
         assert len(lines[0].split("\t")) == 1 + store.k
 
     def test_export_lines_match_per_value_format(self, simple_manifest, tmp_path):
-        # ids holding %-format fields, and values whose %.17g is unusual
-        db = build_database(simple_manifest, [("R", "u%s", "b%%d", 1), ("R", "u2", "b1", 0)])
-        values = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -3.0]
-        vectors = np.array([np.roll(values, i) for i in range(len(db.entities))])
-        model_path = tmp_path / "m.rfm"
-        save_model(EmbeddingStore(db.entities, db.relations, vectors), model_path)
-        out = tmp_path / "vectors.tsv"
-        assert run("export-vectors", "--model", str(model_path), "--out", str(out)) == 0
-        expected = "".join(
-            f"{ent.type}:{ent.id}\t" + "\t".join(format(c, ".17g") for c in vectors[ent.index])
-            + "\n" for ent in db.entities)
-        assert out.read_bytes() == expected.encode("utf-8")
+        # ids holding %-format fields and non-ASCII characters; values whose
+        # %.17g is unusual, first outside the compiled writer's range, so
+        # every row comes from the "%" template, then inside it, with the %g
+        # notation switches, a carry and a half-even tie
+        db = build_database(simple_manifest, [("R", "u%s", "b%%d", 1), ("R", "ü2", "b1", 0)])
+        for values in ([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -3.0],
+                       [-0.0, 1e-14, 9.9999999999999991e-05, 1e16, -1e17, 1.00000762939453125]):
+            vectors = np.array([np.roll(values, i) for i in range(len(db.entities))])
+            model_path = tmp_path / "m.rfm"
+            save_model(EmbeddingStore(db.entities, db.relations, vectors), model_path)
+            out = tmp_path / "vectors.tsv"
+            assert run("export-vectors", "--model", str(model_path), "--out", str(out)) == 0
+            expected = "".join(
+                f"{ent.type}:{ent.id}\t" + "\t".join(format(c, ".17g") for c in vectors[ent.index])
+                + "\n" for ent in db.entities)
+            assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestIngestCli:

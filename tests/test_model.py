@@ -1,4 +1,5 @@
 import decimal
+import io
 import math
 import re
 import tracemalloc
@@ -323,6 +324,36 @@ class TestPersistence:
         with pytest.raises(OSError, match="No space"):
             save_model(EmbeddingStore(simple_db.entities, simple_db.relations,
                                       rng.normal(size=(n, 3))), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rfm"]
+
+    @pytest.mark.parametrize("where, error", [
+        ("vectors", "coordinate of entity business:b1"),
+        ("biases", "bias or coordinate of entity user:u2"),
+        ("offsets", "offset of relation 'R'")])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_parameter_refused_before_writing(self, simple_db, tmp_path, where,
+                                                         error, value):
+        """A store load_model would refuse is not saved: DataError names the
+        first offending entity or relation, and the old file stays."""
+        rng = np.random.default_rng(6)
+        n = len(simple_db.entities)
+        store = EmbeddingStore(simple_db.entities, simple_db.relations, rng.normal(size=(n, 3)),
+                               enable_biases=True, biases=rng.normal(size=n),
+                               offsets=np.array([0.5]))
+        path = tmp_path / "m.rfm"
+        save_model(store, path)
+        old = path.read_bytes()
+        bad = simple_db.entities.get("business", "b1").index
+        if where == "vectors":
+            store.vectors[bad, 1] = value
+            store.vectors[-1, 0] = value
+        elif where == "biases":
+            store.biases[-1] = value
+        else:
+            store.offsets[0] = value
+        with pytest.raises(DataError, match=f"cannot save a non-finite .*{re.escape(error)}$"):
+            save_model(store, path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.rfm"]
 
@@ -677,3 +708,114 @@ class TestFastPath:
         load_tokens(["9007199254740993", "1e-27", "1e-28", "1e27", "1e28",
                      "1234567890123456789e-20", "12345678901234567891e-21", "-0",
                      "0.00000000000000000000000000001", "9833915031184117609e-27"], tmp_path)
+
+
+# --- the compiled row writer against the "%" template -------------------------
+
+def written_rows(keys, vectors, biases, sep, directory):
+    """The bytes model.write_rows writes with the compiled library and
+    without it, after asserting both equal the "%" template of every row."""
+    row = ("%s\tb=%.17g\t" if biases is not None else "%s\t") + sep.join(
+        ["%.17g"] * vectors.shape[1]) + "\n"
+    expected = "".join(row % (key, *([] if biases is None else [biases[r]]), *vectors[r])
+                       for r, key in enumerate(keys)).encode("utf-8")
+
+    def write():
+        file = io.BytesIO()
+        model.write_rows(file, keys, vectors, biases, sep)
+        return file.getvalue()
+    compiled = write()
+    with without_library(directory / "empty-cache"):
+        python = write()
+    assert compiled == expected
+    assert python == expected
+    return compiled
+
+
+def compiled_rows(values):
+    """How many leading values the compiled writer itself prints, each as a
+    one-number row: the writer stops at the first it declines."""
+    lib = kernel.library()
+    vectors = np.array(values, dtype=np.float64).reshape(-1, 1)
+    rows, _ = lib.format_rows(b"", np.zeros(len(values) + 1, dtype=np.int64), None, vectors,
+                              b" ", np.empty(64 * len(values), dtype=np.uint8))
+    return rows
+
+
+# the smallest double at or above 1e-16 and the largest below 2^128 are the
+# ends of the compiled writer's exact range; 1e-16 itself is just below 10^-16
+LOWEST = math.nextafter(1e-16, 1.0)
+HIGHEST = math.nextafter(2.0 ** 128, 0.0)
+
+# the %g notation switches (1e-5 and 9.9999999999999991e-05 are
+# scientific, 1e-4 and 1e16 fixed, 1e17 scientific; 99999999999999999.0 is
+# 1e17), exact 17-digit ties that round half to even, the first of each pair
+# down and the second up (10 + 2^-16 and 10 + 3 * 2^-16 have one digit more
+# than their power of two suggests), 1e-14, whose 17 digits carry to 10^17,
+# both zeros, a subnormal, both ends of the exact range and the doubles just
+# past them
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, LOWEST, 1e-16, HIGHEST, 2.0 ** 128,
+               1e-5, 9.9999999999999991e-05, 1e-4, 1e16, 1e17, 99999999999999999.0,
+               1.00000762939453125, 1.00002288818359375, 10.0000152587890625,
+               10.0000457763671875, 1e-14, -1e-14, 0.1, 123.0, 1.7976931348623157e308]
+
+in_range = st.floats(1e-16, 2.0 ** 128, exclude_max=True).map(lambda x: max(x, LOWEST))
+
+
+class TestCompiledWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     in_range, in_range.map(lambda x: -x)),
+                           min_size=1, max_size=60),
+           k=st.integers(1, 6), biases=st.booleans())
+    def test_same_bytes_as_template(self, values, k, biases, tmp_path_factory):
+        n = -(-len(values) // (k + biases))
+        flat = np.resize(np.array(values), n * (k + biases))
+        written_rows([f"user:u{r}" for r in range(n)], flat[n * biases:].reshape(n, k),
+                     flat[:n] if biases else None, " ", tmp_path_factory.mktemp("writer"))
+
+    @pytest.mark.parametrize("sep", [" ", "\t"])
+    def test_edge_values(self, sep, tmp_path):
+        values = np.array(EDGE_VALUES)
+        rows = [np.roll(values, r)[:5] for r in range(len(values))]
+        written_rows([f"user:{r}" for r in range(len(rows))], np.array(rows), None, sep,
+                     tmp_path)
+        written_rows(["item:x"], values.reshape(1, -1), np.array([-0.0]), sep, tmp_path)
+
+    def test_exact_range(self):
+        """The compiled writer itself prints every value in 1e-16 <= |x| <
+        2^128 and the zeros, and declines the doubles just outside."""
+        if kernel.library() is None:
+            pytest.skip("no compiled library")
+        inside = [v for v in EDGE_VALUES if v == 0 or LOWEST <= abs(v) <= HIGHEST]
+        assert compiled_rows(inside) == len(inside) == 18
+        for value in (1e-16, 2.0 ** 128, math.nextafter(2.0 ** 129, 0.0), 5e-324,
+                      -2.2250738585072014e-308, math.inf, math.nan):
+            assert compiled_rows([1.0, value, 1.0]) == 1
+
+    def test_keys_and_blocks(self, tmp_path, monkeypatch):
+        """Keys with non-ASCII characters and "%" go in as bytes; rows span
+        several blocks, and declined rows fall anywhere in a block."""
+        monkeypatch.setattr(model, "_WRITE_VALUES", 40)
+        rng = np.random.default_rng(4)
+        keys = [f"w:{c}%s{r}" for r, c in zip(range(60), "aé%😀" * 15)]
+        vectors = rng.normal(size=(60, 7))
+        vectors[[0, 9, 10, 59], [2, 6, 0, 3]] = 5e-324
+        lines = written_rows(keys, vectors, rng.normal(size=60), " ", tmp_path).split(b"\n")
+        assert lines[3].startswith("w:😀%s3\tb=".encode("utf-8"))
+
+    def test_store_with_biases_and_offsets(self, simple_db, tmp_path):
+        """save_model writes the same file with the library and without it."""
+        rng = np.random.default_rng(9)
+        n = len(simple_db.entities)
+        store = EmbeddingStore(simple_db.entities, simple_db.relations,
+                               rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-20, 20, (n, 4)),
+                               enable_biases=True, biases=rng.normal(size=n),
+                               offsets=np.array([1e-14]))
+        save_model(store, tmp_path / "compiled.rfm")
+        with without_library(tmp_path / "empty-cache"):
+            save_model(store, tmp_path / "python.rfm")
+        data = (tmp_path / "compiled.rfm").read_bytes()
+        assert data == (tmp_path / "python.rfm").read_bytes()
+        assert data.endswith(b"\noffset R 1e-14\n")
+        assert load_model(tmp_path / "compiled.rfm").vectors.tobytes() == store.vectors.tobytes()
