@@ -24,7 +24,7 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array, write_rows
 from .schema import (Cells, Database, Manifest, atomic_path, build_database, format_manifest,
-                     load_manifest, read_rows, read_tuple_stream, tuple_line_template)
+                     load_manifest, read_columns, read_tuple_stream, tuple_line_template)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
@@ -69,7 +69,7 @@ def _load_database(schema_path: str, data_dir: str) -> Database:
     census = None
     census_path = data / "entities.tsv"
     if census_path.exists():
-        census = [(etype, eid) for _, (etype, eid) in read_rows(census_path, 2, 2)]
+        census = list(zip(*read_columns(census_path, 2, 2)))
 
     def stream():
         for path in sorted(data.glob("*.tsv")):
@@ -239,7 +239,7 @@ def _cmd_predict(args) -> str:
     lines = []
     scored = []  # positions in lines of the pairs that resolved
     rel_ids, rows, cols = [], [], []
-    for _, parts in read_rows(args.pairs, 3, 3):
+    for parts in zip(*read_columns(args.pairs, 3, 3)):
         line = "\t".join(parts)
         try:
             rel, e1, e2 = store.resolve(*parts)
@@ -276,7 +276,7 @@ def _cmd_nn(args) -> str:
 
 def _cmd_project(args) -> str:
     store = load_model(args.model)
-    subset = [_parse_entity_ref(ref.strip()) for _, (ref,) in read_rows(args.entities, 1, 1)]
+    subset = [_parse_entity_ref(ref.strip()) for ref in read_columns(args.entities, 1, 1)[0]]
     coords = project_2d(store, subset)
     text = "".join(f"{e.key}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
     _write_atomic(args.out, text)

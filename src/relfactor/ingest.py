@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .porter import porter_stem
-from .schema import read_rows, read_text
+from .schema import read_columns, read_rows
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -245,55 +245,21 @@ def unescape_text(text: str) -> str:
 
 
 def read_ratings(path: str | os.PathLike) -> RatingColumns:
-    """TSV: user_id, item_id, stars[, timestamp], read as columns.
-
-    A canonical file is read in one pass (_bulk_ratings); any other file,
-    and every faulty one, goes through _row_ratings, which gives the same
-    columns and reports each fault. Stars are not range-checked here:
-    resolve_rating_conflicts does that once the whole file has been read.
-    """
-    columns = _bulk_ratings(path)
-    return columns if columns is not None else _row_ratings(path)
-
-
-_STAR_TEXTS = frozenset("12345")
-
-
-def _bulk_ratings(path: str | os.PathLike) -> Optional[RatingColumns]:
-    """The columns of a canonical ratings file, from one read, one UTF-8
-    decode and one split; None for any other file, for _row_ratings.
-
-    Canonical: no blank or "#" lines, the same 3 or 4 columns on every line,
-    every star one of "1" to "5" and every timestamp a string int() reads.
-    Line ends are read as schema.read_text reads them.
+    """TSV: user_id, item_id, stars[, timestamp], read as columns by
+    schema.read_columns. A file with a fault, or with a star other than "1"
+    to "5", goes through _row_ratings, which gives the same columns and
+    reports the first fault. Stars are range-checked by
+    resolve_rating_conflicts, once the whole file has been read.
     """
     try:
-        text = read_text(path)
-    except (OSError, DataError):  # for _row_ratings to report
-        return None
-    if not text.endswith("\n"):
-        text += "\n"
-    if text.startswith("#") or "\n#" in text:
-        return None
-    # tabs on each line, from the byte offsets of the tabs and line ends; a
-    # blank line has none
-    buffer = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), np.flatnonzero(buffer == 10)),
-                   prepend=0)
-    if tabs[0] not in (2, 3) or not (tabs == tabs[0]).all():
-        return None
-    width = int(tabs[0]) + 1
-    fields = text[:-1].replace("\n", "\t").split("\t")
-    stars = fields[2::width]
-    if not _STAR_TEXTS.issuperset(stars):
-        return None
-    try:
-        timestamps = list(map(int, fields[3::width])) if width == 4 else [None] * len(stars)
-    except ValueError:
-        return None
+        users, items, stars, timestamps = read_columns(path, 3, 4)
+        timestamps = [t if t is None else int(t) for t in timestamps]
+    except (DataError, ValueError):  # for _row_ratings to report
+        stars = None
+    if stars is None or not frozenset("12345").issuperset(stars):
+        return _row_ratings(path)
     digits = np.frombuffer("".join(stars).encode("ascii"), dtype=np.uint8)
-    return RatingColumns(fields[0::width], fields[1::width],
-                         (digits - ord("0")).astype(np.int64), timestamps)
+    return RatingColumns(users, items, (digits - ord("0")).astype(np.int64), timestamps)
 
 
 def _row_ratings(path: str | os.PathLike) -> RatingColumns:
@@ -313,14 +279,15 @@ def _row_ratings(path: str | os.PathLike) -> RatingColumns:
 
 def read_reviews(path: str | os.PathLike) -> list[RawReview]:
     """TSV: user_id, item_id, text (tabs, newlines and carriage returns escaped)."""
-    return [RawReview(p[0], p[1], unescape_text(p[2])) for _, p in read_rows(path, 3, 3)]
+    users, items, texts = read_columns(path, 3, 3)
+    return list(map(RawReview, users, items, map(unescape_text, texts)))
 
 
 def read_categories(path: str | os.PathLike) -> list[tuple[str, str]]:
     """TSV: item_id, category_id."""
-    return [(p[0], p[1]) for _, p in read_rows(path, 2, 2)]
+    return list(zip(*read_columns(path, 2, 2)))
 
 
 def read_attributes(path: str | os.PathLike) -> list[tuple[str, str, str]]:
     """TSV: item_id, attr_name, attr_value."""
-    return [(p[0], p[1], p[2]) for _, p in read_rows(path, 3, 3)]
+    return list(zip(*read_columns(path, 3, 3)))

@@ -215,9 +215,13 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     The file is written under a temporary name and renamed onto path, so a
     save that fails leaves whatever path held before: the file records no
     entity count, and a partly written one would load as a smaller store.
-    A non-finite parameter, which load_model would refuse, raises DataError
-    before anything is written.
+    A non-finite parameter or an entity key holding a tab or line end, which
+    load_model would refuse, raises DataError before anything is written.
     """
+    keys = [f"{ent.type}:{ent.id}" for ent in store.entities]
+    if any(map("".join(keys).__contains__, "\t\n\r")):  # one pass; find the key on failure
+        key = next(k for k in keys if any(map(k.__contains__, "\t\n\r")))
+        raise DataError(f"cannot save an entity key holding a tab or line end: {key!r}")
     bad = ~np.isfinite(store.vectors).all(axis=1)
     if store.enable_biases:
         bad |= ~np.isfinite(store.biases)
@@ -231,7 +235,6 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     header = f"{MODEL_MAGIC} {MODEL_VERSION} k={store.k} biases={int(store.enable_biases)}"
     manifest = Manifest(list(store.entities.types), store.relations)
     head = "".join(line + "\n" for line in [header, *format_manifest(manifest).splitlines()])
-    keys = [f"{ent.type}:{ent.id}" for ent in store.entities]
     biases = store.biases if store.enable_biases else np.zeros(len(keys))
     with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(head.encode("utf-8"))

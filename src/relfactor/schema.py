@@ -402,10 +402,39 @@ def read_rows(path: str | os.PathLike, n_min: int,
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
+def read_columns(path: str | os.PathLike, n_min: int, n_max: int) -> list[list[Optional[str]]]:
+    """The rows of read_rows(path, n_min, n_max) as n_max field columns, None
+    past the end of a shorter row. A file of one width in range with no blank
+    or "#" line is read with one decode and one split; any other is collected
+    from read_rows, which skips those lines and raises the first fault."""
+    try:
+        text = read_text(path)
+    except DataError:  # for read_rows to report
+        text = ""
+    if not text.endswith("\n"):
+        text += "\n"
+    # the tab count and first byte of each line, from the byte offsets of the
+    # tabs and line ends: a blank line, which has no tab either, starts with
+    # "\n" (10) and a comment with "#" (35)
+    buffer = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(buffer == 10)
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), ends), prepend=0)
+    firsts = buffer[np.r_[0, ends[:-1] + 1]]
+    width = int(tabs[0]) + 1
+    if n_min <= width <= n_max and (tabs == tabs[0]).all() and not np.isin(firsts, (10, 35)).any():
+        fields = text[:-1].replace("\n", "\t").split("\t")
+        return [fields[c::width] if c < width else [None] * len(tabs) for c in range(n_max)]
+    rows = [parts + [None] * (n_max - len(parts)) for _, parts in read_rows(path, n_min, n_max)]
+    return [list(column) for column in zip(*rows)] or [[] for _ in range(n_max)]
+
+
 def read_tuple_stream(path: str | os.PathLike, manifest: Manifest) -> Iterator[LabeledCell]:
     """Read a tuple-stream TSV: ``relation \\t e1 \\t e2 \\t label``.
 
     For positives_only relations a 3-column form (label implied 1) is accepted.
+    Read line by line through read_rows rather than read_columns: the stream
+    is lazy, so build_database reports a conflicting tuple before a later
+    malformed line, and no whole tuple file's fields are held at once.
     """
     for lineno, parts in read_rows(path, 3, 4):
         if len(parts) == 4:

@@ -411,14 +411,16 @@ class TestReadRatings:
     def test_same_result_as_row_loop(self, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("ratings") / "ratings.tsv"
         path.write_bytes(data)
-        bulk = ingest._bulk_ratings(path)
         reference = rating_outcome(lambda: TestResolveRatingConflicts.reference(
             [RawRating(*row) for row in zip(*dataclasses.astuple(ingest._row_ratings(path)))]))
         assert rating_outcome(lambda: resolve_rating_conflicts(ingest.read_ratings(path))) \
             == reference
-        if bulk is not None:
-            assert [list(column) for column in dataclasses.astuple(bulk)] \
-                == [list(column) for column in dataclasses.astuple(ingest._row_ratings(path))]
+        try:
+            rows = ingest._row_ratings(path)
+        except DataError:
+            return
+        assert [list(column) for column in dataclasses.astuple(ingest.read_ratings(path))] \
+            == [list(column) for column in dataclasses.astuple(rows)]
 
 
 class TestRawFiles:

@@ -357,6 +357,22 @@ class TestPersistence:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.rfm"]
 
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"], ids=ascii)
+    def test_id_with_tab_or_line_end_refused_before_writing(self, simple_db, simple_manifest,
+                                                            tmp_path, brk):
+        """load_model would refuse an entity line broken by such an id, so
+        save_model names the first such entity and leaves the old file."""
+        path = tmp_path / "m.rfm"
+        save_model(init_embeddings(simple_db, k=2, seed=1), path)
+        old = path.read_bytes()
+        db = build_database(simple_manifest, [("R", "u1", "b1", 1), ("R", f"u{brk}2", "b1", 0),
+                                              ("R", "u3", f"b{brk}", 1)])
+        with pytest.raises(DataError, match=re.escape(
+                f"cannot save an entity key holding a tab or line end: {f'user:u{brk}2'!r}")):
+            save_model(init_embeddings(db, k=2, seed=1), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rfm"]
+
     def test_roundtrip_many_entities(self, simple_manifest, tmp_path):
         stream = [("R", f"u{i}", f"b{i}", 1) for i in range(50)]
         db = build_database(simple_manifest, stream)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from relfactor import schema
 from relfactor.embed_tools import nearest_neighbors
 from relfactor.errors import DataError
 from relfactor.model import EmbeddingStore
-from relfactor.schema import (Entity, build_database, degree_stats, lookup,
-                              parse_manifest, read_tuple_stream, tuple_line_template)
+from relfactor.schema import (Entity, build_database, degree_stats, lookup, parse_manifest,
+                              read_columns, read_rows, read_tuple_stream, tuple_line_template)
 
 from conftest import RICH_MANIFEST, TWO_TYPE_MANIFEST
 
@@ -273,3 +274,79 @@ class TestTupleStreamFiles:
         path = tmp_path / "R.tsv"
         path.write_text(line)
         assert list(read_tuple_stream(path, manifest)) == [("R%s", "u%d", "b{0}", 1)]
+
+
+@st.composite
+def tab_files(draw):
+    """A tab-separated file of rows 1 to 4 fields wide, with up to four edits
+    that make it non-canonical or faulty, and the (n_min, n_max) to read it with."""
+    width = draw(st.integers(1, 4))
+    fields = st.sampled_from(["a", "b1", "ü", " x ", "", "#", "\x85", "\u2028"])
+    lines = draw(st.lists(st.lists(fields, min_size=width, max_size=width),
+                          min_size=1, max_size=8))
+    ends = ["\n"] * len(lines)
+    for how in draw(st.lists(st.sampled_from(["blank", "comment", "line end", "no last end",
+                                              "add", "drop", "byte"]), max_size=4)):
+        t = draw(st.integers(0, len(lines) - 1))
+        if how in ("blank", "comment"):
+            lines.insert(t, [] if how == "blank" else ["#c"] + lines[t][1:])
+            ends.insert(t, "\n")
+        elif how == "line end":
+            ends[t] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif how == "no last end":
+            ends[-1] = ""
+        elif how == "add":
+            lines[t] = lines[t] + ["z"]
+        elif how == "drop" and lines[t]:
+            lines[t] = lines[t][:-1]
+        elif how == "byte" and lines[t]:
+            lines[t] = lines[t][:-1] + [lines[t][-1] + "\udcff"]
+    n_min = draw(st.integers(1, 4))
+    n_max = draw(st.integers(n_min, 4))
+    text = "".join("\t".join(fields) + end for fields, end in zip(lines, ends))
+    return text.encode("utf-8", "surrogateescape"), n_min, n_max
+
+
+def outcome(read):
+    """read()'s result, or the text of the DataError it raises."""
+    try:
+        return read()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestReadColumns:
+    def by_rows(self, path, n_min, n_max):
+        rows = [parts for _, parts in read_rows(path, n_min, n_max)]
+        return [[parts[c] if c < len(parts) else None for parts in rows] for c in range(n_max)]
+
+    @given(case=tab_files())
+    @example(case=(b"\na\nb\n", 1, 1))
+    @example(case=(b"a\n\nb", 1, 2))
+    @example(case=(b"a\tb\tc\nd\n", 2, 2))
+    @example(case=(b"a\tb\r\n#c\tb\rd\te\xff\n", 2, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_read_rows(self, case, tmp_path_factory):
+        data, n_min, n_max = case
+        path = tmp_path_factory.mktemp("columns") / "rows.tsv"
+        path.write_bytes(data)
+        assert outcome(lambda: read_columns(path, n_min, n_max)) \
+            == outcome(lambda: self.by_rows(path, n_min, n_max))
+
+    @pytest.mark.parametrize("data, n_min, n_max, columns", [
+        (b"a\nb\n", 1, 1, [["a", "b"]]),
+        (b"a\tb\r\nc\td", 2, 3, [["a", "c"], ["b", "d"], [None, None]]),
+        (b"\t\n \t#\n", 1, 2, [["", " "], ["", "#"]]),
+    ])
+    def test_canonical_file_skips_read_rows(self, tmp_path, monkeypatch, data, n_min, n_max,
+                                            columns):
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(data)
+        monkeypatch.setattr(schema, "read_rows", None)
+        assert read_columns(path, n_min, n_max) == columns
+
+    def test_empty_file_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        for data in (b"", b"\n", b"# only\n"):
+            path.write_bytes(data)
+            assert read_columns(path, 2, 3) == [[], [], []]

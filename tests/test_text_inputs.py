@@ -106,6 +106,46 @@ def test_non_utf8_input_is_data_error(name, trained, tmp_path, capsys):
     assert not [p for p in files_under(tmp_path) if ".tmp." in p.name]
 
 
+def outputs(path):
+    """The bytes of an output file, or of each file in an output directory."""
+    path = Path(path)
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.mark.parametrize("name, width", [("entities.tsv", 2), ("pairs", 3), ("entities", 1),
+                                         ("reviews", 3), ("categories", 2),
+                                         ("attributes", 3)])
+def test_whole_file_inputs_read_alike_and_name_the_bad_line(name, width, trained, tmp_path,
+                                                            capsys):
+    """A "#" line, a blank line and \\r\\n ends give the output of the
+    canonical file, and a row of the wrong width is reported at its line."""
+    bad = "\t".join(["x"] * (width + 1))
+    results = []
+    for n in range(4):
+        work = tmp_path / str(n)
+        work.mkdir()
+        argv, path, output = input_case(name, trained, work)
+        lines = Path(path).read_text("utf-8").split("\n")[:-1]
+        noisy = ["# note", lines[0], "", *lines[1:]]
+        text, bad_line = [("\n".join(lines) + "\n", None),
+                          ("\r\n".join(noisy) + "\r\n", None),
+                          ("\n".join(lines + [bad]) + "\n", len(lines) + 1),
+                          ("\r\n".join(noisy + [bad]) + "\r\n", len(noisy) + 1)][n]
+        Path(path).write_bytes(text.encode("utf-8"))
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if bad_line is None:
+            assert rc == 0, err
+            results.append(outputs(output))
+        else:
+            assert rc == 2
+            assert err == f"relfactor: error: {path}:{bad_line}: expected {width} columns\n"
+            assert not Path(output).exists()
+    assert results[0] is not None and results[1] == results[0]
+
+
 def test_ids_with_splitlines_breaks_survive_split_train_save_load(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
