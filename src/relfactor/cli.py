@@ -116,7 +116,7 @@ def _cmd_ingest(args) -> str:
                               min_category_entities=args.min_category_entities,
                               stemmer=args.stemmer)
     out = Path(args.out)
-    queued: list[tuple[Path, str]] = []  # written only after every input is read
+    queued: dict[str, str] = {}  # relation name -> text, written after every input is read
 
     def relation_for(name: str, expected: set[str]):
         rel = manifest.relations.get(name)
@@ -128,6 +128,8 @@ def _cmd_ingest(args) -> str:
         return rel
 
     def emit(rel, triples, first_type: str):
+        if rel.name in queued:
+            raise DataError(f"two inputs map to relation {rel.name}; give each its own relation")
         # triples arrive as (first_entity, second_entity, label); orient to row/col
         if rel.row_type != first_type:
             triples = [(second, first, y) for first, second, y in triples]
@@ -137,7 +139,7 @@ def _cmd_ingest(args) -> str:
             raise DataError(f"relation {rel.name} is positives_only but tuple "
                             f"({zero[0]},{zero[1]}) has label 0")
         template = tuple_line_template(rel)
-        queued.append((out / f"{rel.name}.tsv", "".join([template % t for t in triples])))
+        queued[rel.name] = "".join([template % t for t in triples])
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
@@ -152,18 +154,16 @@ def _cmd_ingest(args) -> str:
                  for item, name, value in read_attributes(args.attributes)]
         emit(rel, pairs, args.item_type)
     if args.reviews:
-        reviews = read_reviews(args.reviews)
+        item_pairs, user_pairs = build_word_relations(read_reviews(args.reviews), config)
         rel = relation_for(args.item_word_relation, {args.item_type, args.word_type})
-        emit(rel, [(i, w, 1) for i, w in build_word_relations(reviews, "item", config)],
-             args.item_type)
+        emit(rel, [(i, w, 1) for i, w in item_pairs], args.item_type)
         rel = relation_for(args.user_word_relation, {args.user_type, args.word_type})
-        emit(rel, [(u, w, 1) for u, w in build_word_relations(reviews, "user", config)],
-             args.user_type)
+        emit(rel, [(u, w, 1) for u, w in user_pairs], args.user_type)
     if not queued:
         raise DataError("no input files given; nothing to ingest")
     out.mkdir(parents=True, exist_ok=True)
-    for path, text in queued:
-        _write_atomic(path, text)
+    for name, text in queued.items():
+        _write_atomic(out / f"{name}.tsv", text)
     return f"wrote {len(queued)} tuple stream(s) to {out}"
 
 
@@ -175,7 +175,6 @@ def _cmd_split(args) -> str:
                      cold_fraction=args.cold_fraction,
                      cold_side=args.cold_side, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if mode == "held_out":
         train_db, val, test = split_held_out(db, spec)
         cold = None

@@ -77,6 +77,9 @@ def split_cold_start(db: Database, spec: SplitSpec):
     if spec.mode != "cold_start":
         raise DataError("split_cold_start requires mode 'cold_start'")
     rel = db.relation(spec.target_relation)
+    columns = db.columns(spec.target_relation)
+    if not columns.shape[1]:
+        raise DataError(f"target relation {spec.target_relation} is empty")
     side_type = rel.row_type if spec.cold_side == "row" else rel.col_type
     population = db.entities.of_type(side_type)
     if not population:
@@ -92,7 +95,6 @@ def split_cold_start(db: Database, spec: SplitSpec):
     if not cold:
         raise DataError("cold entity set is empty after draw")
 
-    columns = db.columns(spec.target_relation)
     side = 0 if spec.cold_side == "row" else 1
     is_cold = np.isin(columns[side], [e.index for e in cold])
     test_part, warm = columns[:, is_cold], columns[:, ~is_cold]

@@ -4,8 +4,9 @@ into binary relational tuple streams.
 Pipeline for review text: lowercase, split into maximal alphanumeric runs,
 drop tokens containing digits, drop stopwords (before stemming), stem. Each
 distinct token is filtered and stemmed once per config, which remembers the
-outcome for the rest of its run. A (entity, word) tuple is emitted when the
-word stem occurs in at least one of the entity's reviews and clears the global
+outcome for the rest of its run. Each review is tokenized once, for both word
+relations: an (item, word) and a (user, word) tuple are emitted when the word
+stem occurs in at least one of that entity's reviews and clears the global
 review-frequency threshold.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -132,35 +134,22 @@ def tokenize_review(text: str, config: PreprocessConfig) -> list[str]:
     return out
 
 
-def build_word_relations(reviews: Sequence[RawReview], side: str,
-                         config: PreprocessConfig) -> list[tuple[str, str]]:
-    """Distinct (entity, stem) pairs for the item-word or user-word relation.
+def build_word_relations(reviews: Sequence[RawReview], config: PreprocessConfig
+                         ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """Distinct (item, stem) and (user, stem) pairs: the item-word and
+    user-word relations, from one tokenization of each review.
 
     A stem qualifies when it occurs in at least ``min_word_reviews`` distinct
-    reviews over the whole corpus. Two passes: count, then emit; output order
-    follows first occurrence in the review stream.
+    reviews over the whole corpus. Each list follows first occurrence in the
+    review stream.
     """
-    if side not in ("item", "user"):
-        raise DataError(f"side must be 'item' or 'user', got {side!r}")
-    review_freq: dict[str, int] = {}
-    tokenized: list[tuple[str, list[str]]] = []
-    for review in reviews:
-        stems = tokenize_review(review.text, config)
-        entity = review.item_id if side == "item" else review.user_id
-        tokenized.append((entity, stems))
-        for stem in set(stems):
-            review_freq[stem] = review_freq.get(stem, 0) + 1
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for entity, stems in tokenized:
-        for stem in stems:
-            if review_freq[stem] < config.min_word_reviews:
-                continue
-            pair = (entity, stem)
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-    return pairs
+    tokenized = [tokenize_review(review.text, config) for review in reviews]
+    review_freq = Counter(itertools.chain.from_iterable(map(set, tokenized)))
+    kept = [[stem for stem in stems if review_freq[stem] >= config.min_word_reviews]
+            for stems in tokenized]
+    items = dict.fromkeys((r.item_id, s) for r, stems in zip(reviews, kept) for s in stems)
+    users = dict.fromkeys((r.user_id, s) for r, stems in zip(reviews, kept) for s in stems)
+    return list(items), list(users)
 
 
 def filter_categories(assignments: Sequence[tuple[str, str]],

@@ -273,7 +273,7 @@ def test_criterion_09_preprocessing_conformance():
         pairs_by_threshold = []
         for threshold in range(1, 6):
             cfg = rf.PreprocessConfig(min_word_reviews=threshold, min_category_entities=1)
-            pairs_by_threshold.append(set(rf.build_word_relations(reviews, "item", cfg)))
+            pairs_by_threshold.append(set(rf.build_word_relations(reviews, cfg)[0]))
         if not all(b <= a for a, b in zip(pairs_by_threshold, pairs_by_threshold[1:])):
             filters_ok = False
         cats = [(f"i{rng.integers(8)}", f"c{rng.integers(4)}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relfactor import ingest
 from relfactor.cli import _CELL_BLOCK, _write_cells, main
 from relfactor.model import EmbeddingStore, load_model, save_model
 from relfactor.schema import Cells, EntityRegistry, build_database
@@ -436,3 +437,49 @@ class TestIngestCli:
         self.write_raw(tmp_path)
         assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
                    "--out", str(tmp_path / "tuples")) == 2
+
+    def test_each_review_tokenized_once(self, tmp_path, monkeypatch):
+        """One tokenization of a review feeds both word relations."""
+        self.write_raw(tmp_path)
+        calls = []
+        original = ingest.tokenize_review
+
+        def counting(text, config):
+            calls.append(text)
+            return original(text, config)
+
+        monkeypatch.setattr(ingest, "tokenize_review", counting)
+        assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
+                   "--reviews", str(tmp_path / "reviews.tsv"), "--min-word-reviews", "1",
+                   "--out", str(tmp_path / "tuples")) == 0
+        assert calls == [line.split("\t")[2] for line in
+                         RAW_INPUTS["reviews.tsv"].splitlines()]
+        assert sorted(p.name for p in (tmp_path / "tuples").iterdir()) == ["BW.tsv", "UW.tsv"]
+
+    @pytest.mark.parametrize("relation,flags", [
+        ("C", ["--categories", "categories.tsv", "--attributes", "attributes.tsv",
+               "--attribute-type", "category", "--attribute-relation", "C",
+               "--min-category-entities", "1"]),
+        ("BW", ["--reviews", "reviews.tsv", "--user-type", "item",
+                "--item-word-relation", "BW", "--user-word-relation", "BW",
+                "--min-word-reviews", "1"]),
+    ])
+    def test_two_inputs_for_one_relation_is_data_error(self, relation, flags, tmp_path,
+                                                       capsys, monkeypatch):
+        """The second input would overwrite the first one's file."""
+        self.write_raw(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run("ingest", "--schema", "schema.txt", *flags, "--out", "tuples") == 2
+        assert capsys.readouterr().err == (f"relfactor: error: two inputs map to relation "
+                                           f"{relation}; give each its own relation\n")
+        assert not (tmp_path / "tuples").exists()
+
+
+@pytest.mark.parametrize("mode", ["held-out", "cold-start"])
+def test_split_of_empty_target_is_data_error(mode, dataset, tmp_path, capsys):
+    (dataset / "R.tsv").write_text("")
+    out = tmp_path / "split"
+    assert run("split", "--schema", str(dataset / "manifest.txt"), "--data", str(dataset),
+               "--mode", mode, "--target", "R", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "relfactor: error: target relation R is empty\n"
+    assert not out.exists()

@@ -52,7 +52,7 @@ class TestSplitHeldOut:
 
     def test_empty_target_rejected(self):
         db = held_out_db(4).with_tuples({"R": []})
-        with pytest.raises(DataError, match="empty"):
+        with pytest.raises(DataError, match="^target relation R is empty$"):
             split_held_out(db, SplitSpec("held_out", "R", seed=0))
 
     def test_registry_shared_with_source(self):
@@ -115,6 +115,11 @@ class TestSplitColdStart:
                                         density=0.8, seed=5))
         with pytest.warns(UserWarning, match="degenerate"):
             split_cold_start(db, self.spec(cold_side="col", cold_fraction=0.2))
+
+    def test_empty_target_rejected(self):
+        db = self.db().with_tuples({"R": []})
+        with pytest.raises(DataError, match="^target relation R is empty$"):
+            split_cold_start(db, self.spec())
 
     def test_registry_preserved_for_cold_entities(self):
         db = self.db()

@@ -144,37 +144,76 @@ class TestBuildWordRelations:
 
     def test_global_threshold_filters(self):
         cfg = config(min_word_reviews=10)
-        assert build_word_relations(self.reviews(), "item", cfg) == []
+        assert build_word_relations(self.reviews(), cfg) == ([], [])
 
     def test_set_semantics_within_entity(self):
         reviews = [RawReview(f"u{i}", "b1", "taco taco") for i in range(3)]
         cfg = config(min_word_reviews=1)
-        assert build_word_relations(reviews, "item", cfg) == [("b1", "taco")]
+        assert build_word_relations(reviews, cfg)[0] == [("b1", "taco")]
 
     def test_user_side_counts(self):
         reviews = [RawReview("u1", "b1", "taco"), RawReview("u2", "b2", "taco")]
         cfg = config(min_word_reviews=1)
-        assert build_word_relations(reviews, "user", cfg) == [("u1", "taco"), ("u2", "taco")]
+        assert build_word_relations(reviews, cfg)[1] == [("u1", "taco"), ("u2", "taco")]
 
     def test_threshold_counts_distinct_reviews(self):
         # "tacos"/"taco" appears in 2 distinct reviews; "soup" and "great" in 1
         cfg = config(min_word_reviews=2)
-        pairs = build_word_relations(self.reviews(), "item", cfg)
+        pairs = build_word_relations(self.reviews(), cfg)[0]
         assert pairs == [("b1", "taco")]
 
     def test_reorder_invariant_as_set(self):
         cfg = config(min_word_reviews=2)
-        fwd = set(build_word_relations(self.reviews(), "item", cfg))
-        rev = set(build_word_relations(list(reversed(self.reviews())), "item", cfg))
+        fwd = set(build_word_relations(self.reviews(), cfg)[0])
+        rev = set(build_word_relations(list(reversed(self.reviews())), cfg)[0])
         assert fwd == rev
 
     @given(st.integers(min_value=1, max_value=6))
     def test_raising_threshold_never_adds_pairs(self, threshold):
-        lower = set(build_word_relations(self.reviews(), "item",
-                                         config(min_word_reviews=threshold)))
-        higher = set(build_word_relations(self.reviews(), "item",
-                                          config(min_word_reviews=threshold + 1)))
+        lower = set(build_word_relations(self.reviews(),
+                                         config(min_word_reviews=threshold))[0])
+        higher = set(build_word_relations(self.reviews(),
+                                          config(min_word_reviews=threshold + 1))[0])
         assert higher <= lower
+
+    @staticmethod
+    def two_pass(reviews, side, cfg):
+        """The per-side algorithm one pass replaced: tokenize every review,
+        count each stem's distinct reviews, then emit each (entity, stem)
+        pair of a kept stem the first time it is seen."""
+        review_freq = {}
+        tokenized = []
+        for review in reviews:
+            stems = tokenize_review(review.text, cfg)
+            tokenized.append((review.item_id if side == "item" else review.user_id, stems))
+            for stem in set(stems):
+                review_freq[stem] = review_freq.get(stem, 0) + 1
+        pairs, seen = [], set()
+        for entity, stems in tokenized:
+            for stem in stems:
+                if review_freq[stem] >= cfg.min_word_reviews and (entity, stem) not in seen:
+                    seen.add((entity, stem))
+                    pairs.append((entity, stem))
+        return pairs
+
+    words = ["taco", "tacos", "Tacos!", "soup", "the", "running", "run", "b2b", "x1", ""]
+    corpus = st.lists(st.builds(RawReview, st.sampled_from(["u1", "u2", "u3"]),
+                                st.sampled_from(["b1", "b2", "b3"]),
+                                st.lists(st.sampled_from(words), max_size=8).map(" ".join)),
+                      max_size=12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus, st.integers(min_value=1, max_value=4), st.sampled_from(["porter", "none"]))
+    @example([RawReview("u1", "b1", "taco taco tacos"), RawReview("u1", "b2", ""),
+              RawReview("u2", "b1", "soup taco")], 2, "porter")
+    def test_one_pass_matches_two_passes(self, reviews, threshold, stemmer):
+        def cfg():
+            return config(min_word_reviews=threshold, stemmer=stemmer,
+                          stopword_list=frozenset({"the"}))
+
+        items, users = build_word_relations(reviews, cfg())
+        assert items == self.two_pass(reviews, "item", cfg())
+        assert users == self.two_pass(reviews, "user", cfg())
 
 
 class TestFilterCategories:
