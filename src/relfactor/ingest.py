@@ -188,19 +188,20 @@ def resolve_rating_conflicts(
     last occurrence in stream order when any rating of the cell has no
     timestamp.
 
-    Cells are grouped with dict operations and their disagreements found with
-    one np.bincount; only the rows of conflicting cells go through the rule
-    above one at a time, so timestamps of any size compare exactly.
+    Cells are grouped by np.unique over per-column codes, and disagreements
+    found with one np.bincount; only the rows of conflicting cells go through
+    the rule above one at a time, so timestamps of any size compare exactly.
     """
     if not isinstance(ratings, RatingColumns):
         ratings = RatingColumns.of(ratings)
     n = len(ratings)
     labels = _labels(ratings.stars)
-    # cell[r] is the first row of row r's cell; those rows head the cells
-    first: dict[tuple[str, str], int] = {}
-    cell = np.fromiter(map(first.setdefault, zip(ratings.users, ratings.items),
-                           itertools.count()), dtype=np.int64, count=n)
-    heads = np.flatnonzero(cell == np.arange(n))
+    # a user's or item's code is its first row; cell[r] is the first row of
+    # row r's cell, and those rows head the cells
+    user, item = (np.fromiter(map({}.setdefault, ids, itertools.count()), dtype=np.int64, count=n)
+                  for ids in (ratings.users, ratings.items))
+    _, firsts, inverse = np.unique(user * n + item, return_index=True, return_inverse=True)
+    cell, heads = firsts[inverse], np.sort(firsts)
     conflicting = np.bincount(cell[labels != labels[cell]], minlength=n) > 0
     rows = np.flatnonzero(conflicting[cell])
     latest: dict[int, tuple[Optional[int], int]] = {}  # cell -> (timestamp, row)

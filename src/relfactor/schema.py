@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,6 +148,14 @@ class EntityRegistry:
         self._by_type[etype].append(ent)
         self._all.append(ent)
         return ent
+
+    def register_all(self, keys: Iterable[tuple[str, str]]) -> list[Entity]:
+        """register() each (type, id) pair of keys in order; returns the
+        entities that were new, in order."""
+        start = len(self._all)
+        for etype, eid in keys:
+            self.register(etype, eid)
+        return self._all[start:]
 
     def get(self, etype: str, eid: str) -> Entity:
         try:
@@ -287,42 +296,134 @@ class Database:
         return Database(self.manifest, self.entities, columns)
 
 
+# build_database takes its stream in chunks this long, which the cyclic
+# collector walks quickly. A new id is numbered _NEW + its place in its run,
+# above every index, until it is registered.
+_CHUNK_TUPLES = 1 << 14
+_NEW = 1 << 40
+_LABELS = {0: 0, 1: 1}
+
+
 def build_database(manifest: Manifest, tuple_stream: Iterable[LabeledCell],
                    census: Optional[Iterable[tuple[str, str]]] = None) -> Database:
     """Build a validated Database from a manifest and a tuple stream.
 
-    Entities auto-register on first appearance, ordinals in first-seen order.
-    Exact duplicate tuples deduplicate silently; a conflicting label for an
-    already-stored cell is an error. ``census`` pre-registers (type, id)
-    pairs before the stream is read.
+    Entities auto-register on first appearance, ordinals in first-seen order,
+    a tuple's e1 before its e2. Exact duplicate tuples deduplicate silently; a
+    conflicting label for an already-stored cell is an error. ``census``
+    pre-registers (type, id) pairs before the stream is read. Of a faulty
+    tuple, a conflicting one and a DataError the stream raises, the first in
+    the stream is reported. The tuples are checked and keyed a chunk at a
+    time; one stable sort at the end drops duplicates and finds conflicts.
     """
     entities = EntityRegistry(manifest.entity_types)
-    if census is not None:
-        for etype, eid in census:
-            entities.register(etype, eid)
-    cells: dict[str, dict[tuple[int, int], int]] = {name: {} for name in manifest.relations}
-    for rel_name, e1_id, e2_id, label in tuple_stream:
-        rel = manifest.relations.get(rel_name)
+    entities.register_all(census or ())
+    store = _CellStore(manifest, entities)
+    stream = iter(tuple_stream)
+    while True:
+        chunk = []
+        try:
+            # list.extend keeps the tuples it took before the stream raised
+            chunk.extend(itertools.islice(stream, _CHUNK_TUPLES))
+        except DataError:
+            store.add(chunk)
+            store.columns()  # a conflict before the stream's error is reported first
+            raise
+        if not chunk:
+            return Database(manifest, entities, store.columns())
+        store.add(chunk)
+
+
+class _CellStore:
+    """build_database's tuples so far, in stream order, as int32 relation
+    codes, int64 cell keys row << 32 | col and int8 labels."""
+
+    def __init__(self, manifest: Manifest, entities: EntityRegistry):
+        self.manifest = manifest
+        self.relations = list(manifest.relations.values())
+        self.entities = entities
+        # a relation over an undeclared type gets no code: its tuples are faults
+        self.code_of = {rel.name: code for code, rel in enumerate(self.relations)
+                        if {rel.row_type, rel.col_type} <= set(entities.types)}
+        self.positives_only = np.array([rel.positives_only for rel in self.relations] + [False])
+        self.index_of = {etype: {e.id: e.index for e in entities.of_type(etype)}
+                         for etype in entities.types}
+        self.codes: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
+        self.labels: list[np.ndarray] = []
+
+    def add(self, chunk: list) -> None:
+        """Keep the chunk's tuples up to its first faulty one, and report
+        that one's fault after any conflict before it."""
+        n = len(chunk)
+        rels, e1s, e2s, labels = (list(map(operator.itemgetter(c), chunk)) for c in range(4))
+        codes = np.fromiter(map(self.code_of.get, rels, itertools.repeat(-1)), np.int32, n)
+        try:
+            labs = np.fromiter(map(_LABELS.get, labels, itertools.repeat(-1)), np.int8, n)
+        except TypeError:  # an unhashable label, which is not 0 or 1 either
+            labs = np.array([int(label) if label in (0, 1) else -1 for label in labels], np.int8)
+        bad = (codes < 0) | (labs < 0) | (labs == 0) & self.positives_only[codes]
+        stop = int(bad.argmax()) if bad.any() else n
+        for ids in (e1s, e2s):
+            if not all(ids[:stop]):
+                stop = list(map(bool, ids[:stop])).index(False)
+        self.codes.append(codes[:stop])
+        self.labels.append(labs[:stop])
+        runs = np.flatnonzero(np.diff(codes[:stop], prepend=-1, append=-1)).tolist()
+        for a, b in zip(runs, runs[1:]):
+            self._add_run(self.relations[codes[a]], e1s[a:b], e2s[a:b])
+        if stop == n:
+            return
+        self.columns()
+        name, e1_id, e2_id, label = chunk[stop]
+        rel = self.manifest.relations.get(name)
         if rel is None:
-            raise DataError(f"tuple references undeclared relation {rel_name!r}")
-        if label not in (0, 1):
-            raise DataError(f"relation {rel_name}: label must be 0 or 1, got {label!r}")
-        if rel.positives_only and label != 1:
-            raise DataError(
-                f"relation {rel_name} is positives_only but tuple ({e1_id},{e2_id}) has label 0"
-            )
-        e1 = entities.register(rel.row_type, e1_id)
-        e2 = entities.register(rel.col_type, e2_id)
-        if cells[rel_name].setdefault((e1.index, e2.index), label) != label:
-            raise DataError(f"relation {rel_name}: conflicting labels for cell ({e1_id},{e2_id})")
+            raise DataError(f"tuple references undeclared relation {name!r}")
+        if labs[stop] < 0:
+            raise DataError(f"relation {name}: label must be 0 or 1, got {label!r}")
+        if labs[stop] == 0 and rel.positives_only:
+            raise DataError(f"relation {name} is positives_only but tuple ({e1_id},{e2_id}) "
+                            "has label 0")
+        self.entities.register_all([(rel.row_type, e1_id), (rel.col_type, e2_id)])
 
-    def as_columns(store: dict[tuple[int, int], int]) -> np.ndarray:
-        # one flat int stream: 5x faster than a stream of tuples
-        keys = np.fromiter(itertools.chain.from_iterable(store), dtype=np.int64,
-                           count=2 * len(store)).reshape(-1, 2).T
-        return np.vstack([keys, np.fromiter(store.values(), dtype=np.int64, count=len(store))])
+    def _add_run(self, rel: Relation, row_ids: list[str], col_ids: list[str]) -> None:
+        # One setdefault pass maps each id to its index and a new one to _NEW
+        # + its place in the run: e1 of tuple t at 2t, e2 at 2t + 1.
+        ids = list(itertools.chain.from_iterable(zip(row_ids, col_ids)))
+        sides = (self.index_of[rel.row_type], self.index_of[rel.col_type])
+        cells = np.fromiter(map(dict.setdefault, itertools.cycle(sides), ids, itertools.count(_NEW)),
+                            np.int64, len(ids)).reshape(-1, 2)
+        fresh = cells >= _NEW
+        if fresh.any():  # register the new ids by first place; each is its rank
+            places = cells[fresh] - _NEW
+            first = np.zeros(len(ids), dtype=bool)
+            first[places] = True
+            added = self.entities.register_all(((rel.row_type, rel.col_type)[p & 1], ids[p])
+                                               for p in np.flatnonzero(first).tolist())
+            for ent in added:
+                self.index_of[ent.type][ent.id] = ent.index
+            cells[fresh] = added[0].index + np.cumsum(first)[places] - 1
+        self.keys.append(cells[:, 0] << 32 | cells[:, 1])
 
-    return Database(manifest, entities, {name: as_columns(store) for name, store in cells.items()})
+    def columns(self) -> dict[str, np.ndarray]:
+        """Each relation's (3, n) columns, every cell at its first occurrence,
+        in stream order. Raises DataError for the first tuple in the stream
+        whose label differs from its cell's first."""
+        codes, keys, labels = (np.concatenate([np.empty(0, dtype), *parts]) for dtype, parts in
+                               ((np.int32, self.codes), (np.int64, self.keys), (np.int8, self.labels)))
+        order = np.lexsort((keys, codes))  # stable: a cell's tuples stay in stream order
+        same = (np.diff(codes[order]) == 0) & (np.diff(keys[order]) == 0)
+        # so a cell's first label change is its first conflicting tuple
+        changed = order[1:][same & (np.diff(labels[order]) != 0)]
+        if changed.size:
+            at = int(changed.min())
+            e1, e2 = self.entities.at(keys[at] >> 32), self.entities.at(keys[at] & 0xFFFFFFFF)
+            raise DataError(f"relation {self.relations[codes[at]].name}: conflicting labels "
+                            f"for cell ({e1.id},{e2.id})")
+        kept = np.sort(order[np.r_[True, ~same][:keys.size]])
+        return {rel.name: np.vstack([keys[at] >> 32, keys[at] & 0xFFFFFFFF, labels[at]])
+                for rel, at in ((rel, kept[codes[kept] == code])
+                                for code, rel in enumerate(self.relations))}
 
 
 def lookup(db: Database, relation: str, e1_id: str, e2_id: str) -> Optional[int]:
@@ -377,6 +478,51 @@ def read_text(path: str | os.PathLike) -> str:
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
+# A tuple file is read in blocks of about this many bytes of whole lines.
+# Each is split into fields at once, and the allocator keeps some of the
+# freed fields' pages: 256-KB blocks left relbench's peak RSS 1-2 MB higher.
+_BLOCK_BYTES = 1 << 16
+_LABEL_TEXT = {"0": 0, "1": 1}
+
+
+def _blocks(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """Yield (number of its first line, text) of each block of whole lines of
+    a UTF-8 file, ``\\r\\n`` and ``\\r`` read as ``\\n`` as in text mode,
+    every text ending in ``\\n``. A line that is not UTF-8 raises DataError
+    once the lines before it are yielded."""
+    lineno = 1
+    with open(path, "rb") as f:
+        while block := f.read(_BLOCK_BYTES) + f.readline():
+            try:
+                text, bad = block.decode("utf-8"), None
+            except UnicodeDecodeError as exc:
+                bad = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1
+                text = block[:bad].decode("utf-8")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            if text:
+                yield lineno, text if text.endswith("\n") else text + "\n"
+            if bad is not None:
+                raise DataError(f"{path}: not UTF-8 text")
+            lineno += text.count("\n")
+
+
+def _canonical_fields(text: str, n_min: int, n_max: int) -> Optional[tuple[int, list[str]]]:
+    """(width, fields of every line, row after row) of text, lines ending in
+    ``\\n``, when every line has one width in n_min..n_max and none is blank
+    or starts with "#"; None for any other text."""
+    # the tab count and first byte of each line, from the byte offsets of the
+    # tabs and line ends: a blank line, which has no tab either, starts with
+    # "\n" (10) and a comment with "#" (35)
+    buffer = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(buffer == 10)
+    tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), ends), prepend=0)
+    firsts = buffer[np.r_[0, ends[:-1] + 1]]
+    width = int(tabs[0]) + 1
+    if n_min <= width <= n_max and (tabs == tabs[0]).all() and not np.isin(firsts, (10, 35)).any():
+        return width, text[:-1].replace("\n", "\t").split("\t")
+    return None
+
+
 def read_rows(path: str | os.PathLike, n_min: int,
               n_max: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, tab-separated fields) of each row of a UTF-8 file.
@@ -384,22 +530,23 @@ def read_rows(path: str | os.PathLike, n_min: int,
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, so ids may hold any other
     character that ``str.splitlines`` would break at. Blank lines and lines
     starting with ``#`` are skipped; a row with fewer than n_min or more than
-    n_max fields raises DataError.
+    n_max fields raises DataError, as does, once the rows before it are
+    yielded, a line that is not UTF-8.
     """
+    return _rows(path, _blocks(path), n_min, n_max)
+
+
+def _rows(path: str | os.PathLike, blocks: Iterable[tuple[int, str]], n_min: int,
+          n_max: int) -> Iterator[tuple[int, list[str]]]:
     expected = f"{n_min}" if n_min == n_max else f"{n_min}-{n_max}"
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if not (n_min <= len(parts) <= n_max):
-                    raise DataError(f"{path}:{lineno}: expected {expected} columns")
-                yield lineno, parts
-    except UnicodeDecodeError:
-        # decoding runs ahead of the lines read, so no line number is exact
-        raise DataError(f"{path}: not UTF-8 text") from None
+    for first, text in blocks:
+        for lineno, line in enumerate(text[:-1].split("\n"), start=first):
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if not (n_min <= len(parts) <= n_max):
+                raise DataError(f"{path}:{lineno}: expected {expected} columns")
+            yield lineno, parts
 
 
 def read_columns(path: str | os.PathLike, n_min: int, n_max: int) -> list[list[Optional[str]]]:
@@ -413,17 +560,11 @@ def read_columns(path: str | os.PathLike, n_min: int, n_max: int) -> list[list[O
         text = ""
     if not text.endswith("\n"):
         text += "\n"
-    # the tab count and first byte of each line, from the byte offsets of the
-    # tabs and line ends: a blank line, which has no tab either, starts with
-    # "\n" (10) and a comment with "#" (35)
-    buffer = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(buffer == 10)
-    tabs = np.diff(np.searchsorted(np.flatnonzero(buffer == 9), ends), prepend=0)
-    firsts = buffer[np.r_[0, ends[:-1] + 1]]
-    width = int(tabs[0]) + 1
-    if n_min <= width <= n_max and (tabs == tabs[0]).all() and not np.isin(firsts, (10, 35)).any():
-        fields = text[:-1].replace("\n", "\t").split("\t")
-        return [fields[c::width] if c < width else [None] * len(tabs) for c in range(n_max)]
+    canonical = _canonical_fields(text, n_min, n_max)
+    if canonical is not None:
+        width, fields = canonical
+        return [fields[c::width] if c < width else [None] * (len(fields) // width)
+                for c in range(n_max)]
     rows = [parts + [None] * (n_max - len(parts)) for _, parts in read_rows(path, n_min, n_max)]
     return [list(column) for column in zip(*rows)] or [[] for _ in range(n_max)]
 
@@ -432,11 +573,26 @@ def read_tuple_stream(path: str | os.PathLike, manifest: Manifest) -> Iterator[L
     """Read a tuple-stream TSV: ``relation \\t e1 \\t e2 \\t label``.
 
     For positives_only relations a 3-column form (label implied 1) is accepted.
-    Read line by line through read_rows rather than read_columns: the stream
-    is lazy, so build_database reports a conflicting tuple before a later
-    malformed line, and no whole tuple file's fields are held at once.
+    The stream is lazy, so build_database reports a conflicting tuple before a
+    later malformed line, and holds one block of the file at a time. A block
+    of one width, with no blank or "#" line, every label "0" or "1" or, in
+    the 3-column form, every relation positives_only, is split once and its
+    tuples zipped from its columns. From the first block that is not, the
+    rest of the file is read line by line, which names the line of a fault.
     """
-    for lineno, parts in read_rows(path, 3, 4):
+    implied = {name for name, rel in manifest.relations.items() if rel.positives_only}
+    blocks = _blocks(path)
+    for first, text in blocks:
+        width, fields = _canonical_fields(text, 3, 4) or (0, [])
+        if width == 4 and _LABEL_TEXT.keys() >= set(fields[3::4]):
+            yield from zip(fields[0::4], fields[1::4], fields[2::4],
+                           map(_LABEL_TEXT.__getitem__, fields[3::4]))
+        elif width == 3 and implied.issuperset(fields[0::3]):
+            yield from zip(fields[0::3], fields[1::3], fields[2::3], itertools.repeat(1))
+        else:
+            blocks = itertools.chain([(first, text)], blocks)
+            break
+    for lineno, parts in _rows(path, blocks, 3, 4):
         if len(parts) == 4:
             rel_name, e1, e2, label_s = parts
             if label_s not in ("0", "1"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -350,3 +352,241 @@ class TestReadColumns:
         for data in (b"", b"\n", b"# only\n"):
             path.write_bytes(data)
             assert read_columns(path, 2, 3) == [[], [], []]
+
+
+def loop_build(manifest, stream, census=None):
+    """build_database as one loop over the tuples, a dict of cell keys per
+    relation: the reference. Returns the registry as (type, id, ordinal,
+    index) and each relation's columns as lists."""
+    entities = schema.EntityRegistry(manifest.entity_types)
+    for etype, eid in census or ():
+        entities.register(etype, eid)
+    cells = {name: {} for name in manifest.relations}
+    for rel_name, e1_id, e2_id, label in stream:
+        rel = manifest.relations.get(rel_name)
+        if rel is None:
+            raise DataError(f"tuple references undeclared relation {rel_name!r}")
+        if label not in (0, 1):
+            raise DataError(f"relation {rel_name}: label must be 0 or 1, got {label!r}")
+        if rel.positives_only and label != 1:
+            raise DataError(
+                f"relation {rel_name} is positives_only but tuple ({e1_id},{e2_id}) has label 0")
+        e1 = entities.register(rel.row_type, e1_id)
+        e2 = entities.register(rel.col_type, e2_id)
+        if cells[rel_name].setdefault((e1.index, e2.index), label) != label:
+            raise DataError(f"relation {rel_name}: conflicting labels for cell ({e1_id},{e2_id})")
+    return ([tuple(e) for e in entities],
+            {name: [[i for i, _ in store], [j for _, j in store], list(store.values())]
+             for name, store in cells.items()})
+
+
+def chunked_build(manifest, stream, census=None):
+    """build_database's result in loop_build's form, after checking that the
+    registry's per-type lists and key lookups agree with its order."""
+    db = build_database(manifest, stream, census)
+    for etype in db.entities.types:
+        assert db.entities.of_type(etype) == [e for e in db.entities if e.type == etype]
+    assert all(db.entities.find(e.type, e.id) is e for e in db.entities)
+    return ([tuple(e) for e in db.entities],
+            {name: db.columns(name).tolist() for name in db.relations})
+
+
+# F relates users to users, so one type fills both sides of a tuple
+BUILD_MANIFEST = ("type user\ntype item\ntype tag\nrelation R user item\n"
+                  "relation F user user\nrelation P item tag positives_only\n")
+
+
+@st.composite
+def tuple_streams(draw):
+    """A stream over BUILD_MANIFEST whose few ids make repeated and
+    conflicting cells likely, with up to two faulty tuples, an optional
+    census and an optional DataError raised part-way."""
+    ids = {"user": ["u0", "u1", "u2", "i0"], "item": ["i0", "i1", "i2"], "tag": ["t0", "t1"]}
+    sides = {"R": ("user", "item"), "F": ("user", "user"), "P": ("item", "tag")}
+    stream = []
+    for _ in range(draw(st.integers(0, 40))):
+        name = draw(st.sampled_from("RRFFP"))
+        e1, e2 = (draw(st.sampled_from(ids[t])) for t in sides[name])
+        stream.append((name, e1, e2, 1 if name == "P" else draw(st.sampled_from([0, 1]))))
+    for fault in draw(st.lists(st.sampled_from(["relation", "label", "zero", "empty"]),
+                               max_size=2)):
+        at = draw(st.integers(0, len(stream)))
+        if fault == "relation":
+            stream.insert(at, ("X", "u0", "i0", 1))
+        elif fault == "label":
+            stream.insert(at, ("R", "u0", "i0", draw(st.sampled_from([2, -1, "1", None, [1]]))))
+        elif fault == "zero":
+            stream.insert(at, ("P", "i0", "t0", 0))
+        else:
+            stream.insert(at, draw(st.sampled_from([("R", "", "i0", 1), ("F", "u0", "", 0)])))
+    census = draw(st.none() | st.lists(st.sampled_from(
+        [("user", "u9"), ("item", "i1"), ("tag", "t1"), ("user", "u0")]), max_size=4))
+    if census is not None and draw(st.integers(0, 9)) == 0:
+        census.append(draw(st.sampled_from([("tag", ""), ("nosuch", "x")])))
+    raise_at = draw(st.none() | st.none() | st.integers(0, len(stream)))
+    return stream, census, raise_at
+
+
+def raising(stream, raise_at):
+    """stream, with a DataError raised in place of its tuple at raise_at."""
+    for at, cell in enumerate(stream):
+        if at == raise_at:
+            raise DataError("the stream failed")
+        yield cell
+    if raise_at == len(stream):
+        raise DataError("the stream failed")
+
+
+class TestChunkedBuild:
+    @given(case=tuple_streams(), chunk=st.integers(1, 5))
+    @example(case=([("R", "u0", "i0", 1), ("F", "u1", "u0", 0), ("R", "u0", "i0", 1),
+                    ("F", "u0", "u1", 1), ("R", "u0", "i0", 0), ("P", "i0", "t0", 0)], None, None),
+             chunk=2)
+    @example(case=([("R", "u0", "i0", 0), ("R", "u1", "i0", 1), ("R", "u0", "i0", 1)],
+                   [("item", "i1")], 3), chunk=1)
+    @example(case=([("R", "u0", "i0", 0), ("R", "u0", "i0", 1), ("R", "", "i0", 1)], None, None),
+             chunk=5)
+    @example(case=([("F", "u0", "u1", 1), ("F", "u2", "u0", 1), ("F", "u1", "u0", 1)], None, None),
+             chunk=5)
+    @example(case=([("F", "u0", "u1", 0), ("F", "u0", "u1", 1), ("R", "u0", "i0", 0),
+                    ("R", "u0", "i0", 1)], None, None), chunk=5)
+    @example(case=([("R", "u0", "i0", 1), ("P", "i1", "t0", 0)], None, None), chunk=2)
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_tuple_loop(self, case, chunk):
+        """Registry, columns and error as the loop gives them, whatever the
+        chunk boundaries: a conflict that crosses chunks is found, and a fault
+        or a stream error after a conflict reports the conflict."""
+        stream, census, raise_at = case
+        manifest = parse_manifest(BUILD_MANIFEST)
+        expected = outcome(lambda: loop_build(manifest, raising(stream, raise_at), census))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schema, "_CHUNK_TUPLES", chunk)
+            assert outcome(lambda: chunked_build(manifest, raising(stream, raise_at), census)) \
+                == expected
+
+    def test_conflict_reported_before_a_later_malformed_line(self, tmp_path, simple_manifest):
+        path = tmp_path / "R.tsv"
+        path.write_text("R\tu1\tb1\t1\nR\tu1\tb1\t0\nR\tu2\tb1\t1\nR\tu3\tb1\t0\nR\tu4\n")
+        with pytest.raises(DataError, match=r"conflicting labels for cell \(u1,b1\)"):
+            build_database(simple_manifest, read_tuple_stream(path, simple_manifest))
+
+    def test_register_all_registers_new_keys_in_order(self, rich_manifest):
+        registry = schema.EntityRegistry(rich_manifest.entity_types)
+        registry.register("business", "b0")
+        added = registry.register_all([("user", "u0"), ("business", "b0"), ("business", "b1"),
+                              ("user", "u0"), ("user", "u1")])
+        assert [tuple(e) for e in added] == [("user", "u0", 0, 1), ("business", "b1", 1, 2),
+                                             ("user", "u1", 1, 3)]
+        assert list(registry) == [registry.get("business", "b0"), *added]
+        for bad, text in (("nosuch", "unknown entity type"), ("user", "empty entity id")):
+            with pytest.raises(DataError, match=text):
+                registry.register_all([("user", "u2"), (bad, "" if bad == "user" else "x")])
+
+
+def line_loop(path, manifest):
+    """read_tuple_stream one line at a time from the file's bytes, a line that
+    is not UTF-8 raising when it is reached: the reference."""
+    lines = re.split(rb"\r\n|\r|\n", path.read_bytes())
+    if not lines[-1]:
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise DataError(f"{path}:{lineno}: expected 3-4 columns")
+        if len(parts) == 4:
+            if parts[3] not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {parts[3]!r}")
+            yield (*parts[:3], int(parts[3]))
+            continue
+        rel = manifest.relations.get(parts[0])
+        if rel is None:
+            raise DataError(f"{path}:{lineno}: undeclared relation {parts[0]!r}")
+        if not rel.positives_only:
+            raise DataError(
+                f"{path}:{lineno}: 3-column form only allowed for positives_only relations")
+        yield (*parts, 1)
+
+
+def drained(stream):
+    """The tuples a stream yields and the text of the DataError that ends it,
+    or None."""
+    cells = []
+    try:
+        for cell in stream:
+            cells.append(cell)
+    except DataError as exc:
+        return cells, str(exc)
+    return cells, None
+
+
+@st.composite
+def tuple_files(draw):
+    """The bytes of a tuple file over BUILD_MANIFEST with up to four edits
+    that make a block non-canonical or faulty, and a block size that puts a
+    few lines in each block."""
+    lines = draw(st.lists(st.sampled_from([
+        b"R\tu0\ti0\t1", b"R\tu1\ti2\t0", b"P\ti0\tt1\t1", b"F\tu0\tu1\t0", b"P\ti1\tt0",
+        b"P\ti\xc3\xbc\tt0"]), min_size=1, max_size=12))
+    ends = [b"\n"] * len(lines)
+    for how in draw(st.lists(st.sampled_from(["crlf", "cr", "comment", "blank", "label",
+                                              "three", "width", "byte", "no end"]),
+                             max_size=4)):
+        at = draw(st.integers(0, len(lines) - 1))
+        if how in ("crlf", "cr"):
+            ends[at] = b"\r\n" if how == "crlf" else b"\r"
+        elif how in ("comment", "blank"):
+            lines.insert(at, b"# R\tu0\ti0\t1" if how == "comment" else b"")
+            ends.insert(at, b"\n")
+        elif how == "label":
+            lines[at] = b"R\tu0\ti0\t2"
+        elif how == "three":
+            lines[at] = b"R\tu0\ti0"
+        elif how == "width":
+            lines[at] = b"R\tu0"
+        elif how == "byte":
+            lines[at] = lines[at] + b"\xff"
+        else:
+            ends[-1] = b""
+    return b"".join(line + end for line, end in zip(lines, ends)), draw(st.integers(1, 48))
+
+
+class TestTupleStreamBlocks:
+    @given(case=tuple_files())
+    @example(case=(b"R\tu0\ti0\t1\nR\tu1\ti0\t0\nR\tu2\ti0\t2\nR\tu3\ti0\t1\n", 24))
+    @example(case=(b"R\tu0\ti0\t1\nR\tu1\ti0\t0\nR\tu2\ti0\t1\xff\nR\tu3\ti0\t1\n", 24))
+    @example(case=(b"P\ti0\tt0\nR\tu1\ti0\n", 10))
+    @example(case=(b"# c\r\nR\tu0\ti0\t1\r\n\r\nP\ti0\tt0", 8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_tuples_as_line_loop(self, case, tmp_path_factory):
+        """The same tuples, and before a fault the same tuples and then the
+        same error, whichever blocks are read whole and which line by line."""
+        data, block = case
+        path = tmp_path_factory.mktemp("tuples") / "T.tsv"
+        path.write_bytes(data)
+        manifest = parse_manifest(BUILD_MANIFEST)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schema, "_BLOCK_BYTES", block)
+            assert drained(read_tuple_stream(path, manifest)) == drained(line_loop(path, manifest))
+
+    def test_canonical_blocks_skip_the_line_loop(self, tmp_path, monkeypatch):
+        """Blocks of one width with every label 0 or 1 or implied are zipped
+        from their columns; the first other block and every one after it go
+        through the line loop. Blocks of one byte hold one line each."""
+        path = tmp_path / "T.tsv"
+        path.write_bytes(b"R\tu0\ti0\t1\r\nR\tu1\ti0\t0\nP\ti0\tt0\nP\ti1\tt0\n# c\nR\tu2\ti0\t1\n")
+        manifest = parse_manifest(BUILD_MANIFEST)
+        lines = []
+        rows = schema._rows
+        monkeypatch.setattr(schema, "_rows", lambda *args: (lines.append(row[0]) or row
+                                                             for row in rows(*args)))
+        monkeypatch.setattr(schema, "_BLOCK_BYTES", 1)
+        assert list(read_tuple_stream(path, manifest)) == [
+            ("R", "u0", "i0", 1), ("R", "u1", "i0", 0), ("P", "i0", "t0", 1),
+            ("P", "i1", "t0", 1), ("R", "u2", "i0", 1)]
+        assert lines == [6]
