@@ -378,15 +378,12 @@ def _read_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: Ma
     the biases and vectors of the entity lines as the compiled parser read
     them; when it is None, _float_row reads them here."""
     registry = EntityRegistry(manifest.entity_types)
-    register, types = registry.register, set(manifest.entity_types)
     biases: list[float] = [] if parsed is None else parsed[0].tolist()
-    rows: list[list[float]] = []  # read by _float_row, with the line of each
-    row_lines: list[int] = []
+    rows: list[list[float]] = []  # read by _float_row
+    types: list[str] = []  # of each entity line, with its id and line number
+    ids: list[str] = []
+    key_lines: list[int] = []
     offsets: dict[str, float] = {}
-    # An empty or duplicate id is reported once every line has been read, so
-    # a malformed line is reported before such an id on an earlier line.
-    clash = None
-    n = 0
     try:
         for lineno, line in enumerate(lines[end:], start=end + 1):
             if not line:
@@ -400,35 +397,40 @@ def _read_rows(path: str | os.PathLike, lines: list[str], end: int, manifest: Ma
             if parsed is None and (numbers.count("\t") != 1 or not numbers.startswith("b=")):
                 raise DataError(f"{path}:{lineno}: malformed entity line")
             etype, _, eid = key.partition(":")
-            if etype not in types:
+            if etype not in registry.index_of:
                 raise DataError(f"{path}:{lineno}: entity of undeclared type {etype!r}")
-            if clash is None and (not eid or register(etype, eid).index != n):
-                clash = f"{path}:{lineno}: " + (f"duplicate entity {etype}:{eid}" if eid
-                                                else "empty entity id")
+            types.append(etype)
+            ids.append(eid)
+            key_lines.append(lineno)
             if parsed is None:
                 bias, coords = _float_row(numbers)
                 if len(coords) != k:
                     raise DataError(f"{path}:{lineno}: expected {k} coordinates, got {len(coords)}")
                 biases.append(bias)
                 rows.append(coords)
-                row_lines.append(lineno)
-            if not enable_biases and biases[n] != 0.0:
+            if not enable_biases and biases[len(ids) - 1] != 0.0:
                 raise DataError(f"{path}:{lineno}: nonzero bias in a model without biases")
-            n += 1
     except ValueError:
         raise DataError(f"{path}:{lineno}: malformed number") from None
-    if clash is not None:
-        raise DataError(clash)
+    # An empty or duplicate id is reported once every line has been read, so
+    # a malformed line is reported before such an id on an earlier line. Of
+    # the keys before the first empty id, a duplicate's index is not its place.
+    empty = ids.index("") if not all(ids) else len(ids)
+    duplicate = registry.register_all(types[:empty], ids[:empty]) != np.arange(empty)
+    at = int(np.argmax(np.append(duplicate, True)))  # the first duplicate, else empty
+    if at < len(ids):
+        fault = f"duplicate entity {types[at]}:{ids[at]}" if ids[at] else "empty entity id"
+        raise DataError(f"{path}:{key_lines[at]}: {fault}")
     if parsed is not None:  # the compiled parser reads finite numbers only
         return registry, parsed[1], parsed[0], offsets
 
     try:
-        vectors = np.array(rows, dtype=np.float64).reshape(n, k)
+        vectors = np.array(rows, dtype=np.float64).reshape(len(ids), k)
     except ValueError:  # no entity lines, and a k that numpy cannot shape
         raise DataError(f"{path}: malformed model header") from None
     bias_array = np.array(biases, dtype=np.float64)
     finite = np.isfinite(vectors).all(axis=1) & np.isfinite(bias_array)
     if not finite.all():
-        lineno = row_lines[int(np.argmin(finite))]
+        lineno = key_lines[int(np.argmin(finite))]
         raise DataError(f"{path}:{lineno}: non-finite bias or coordinate")
     return registry, vectors, bias_array, offsets

@@ -125,60 +125,71 @@ class EntityRegistry:
     """Entities keyed by (type, id) with dense per-type ordinals.
 
     Append-only: an entity's ordinal and index never change once registered.
+    ``index_of[etype]`` maps each id of etype to its global index, in
+    registration order.
     """
 
     def __init__(self, entity_types: Iterable[str]):
-        self._types = list(entity_types)
-        self._by_key: dict[tuple[str, str], Entity] = {}
-        self._by_type: dict[str, list[Entity]] = {t: [] for t in self._types}
+        self.index_of: dict[str, dict[str, int]] = {t: {} for t in entity_types}
         self._all: list[Entity] = []
         self._indices: dict[str, np.ndarray] = {}
 
     def register(self, etype: str, eid: str) -> Entity:
-        key = (etype, eid)
-        ent = self._by_key.get(key)
-        if ent is not None:
-            return ent
-        if etype not in self._by_type:
-            raise DataError(f"unknown entity type {etype!r}")
-        if not eid:
-            raise DataError("empty entity id")
-        ent = Entity(etype, eid, len(self._by_type[etype]), len(self._all))
-        self._by_key[key] = ent
-        self._by_type[etype].append(ent)
-        self._all.append(ent)
-        return ent
+        return self._all[int(self.register_all([etype], [eid])[0])]
 
-    def register_all(self, keys: Iterable[tuple[str, str]]) -> list[Entity]:
-        """register() each (type, id) pair of keys in order; returns the
-        entities that were new, in order."""
-        start = len(self._all)
-        for etype, eid in keys:
-            self.register(etype, eid)
-        return self._all[start:]
+    def register_all(self, types: Sequence[str], ids: Sequence[str]) -> np.ndarray:
+        """Register each key (types[t], ids[t]) in order; returns every key's
+        global index as an int64 array. New keys are numbered after every
+        registered one, in the order of their first places. The first key of
+        an unknown type or with an empty id raises DataError, and then none
+        is registered."""
+        index_of = self.index_of
+        if not (index_of.keys() >= set(types) and all(ids)):
+            for etype, eid in zip(types, ids):
+                if etype not in index_of:
+                    raise DataError(f"unknown entity type {etype!r}")
+                if not eid:
+                    raise DataError("empty entity id")
+        # one setdefault pass, then the new ids are numbered
+        ordinals = {etype: itertools.count(len(ids_of)) for etype, ids_of in index_of.items()}
+        indices = np.fromiter(map(dict.setdefault, map(index_of.__getitem__, types), ids,
+                                  itertools.count(_NEW)), np.int64, len(ids))
+        fresh = indices >= _NEW
+        if fresh.any():
+            places = indices[fresh] - _NEW
+            first = np.zeros(len(ids), dtype=bool)
+            first[places] = True
+            indices[fresh] = len(self._all) + np.cumsum(first)[places] - 1
+            for p in np.flatnonzero(first).tolist():
+                etype, eid = types[p], ids[p]
+                index_of[etype][eid] = len(self._all)
+                self._all.append(Entity(etype, eid, next(ordinals[etype]), len(self._all)))
+        return indices
 
     def get(self, etype: str, eid: str) -> Entity:
         try:
-            return self._by_key[(etype, eid)]
+            return self._all[self.index_of[etype][eid]]
         except KeyError:
             raise DataError(f"unknown entity {etype}:{eid}") from None
 
     def find(self, etype: str, eid: str) -> Optional[Entity]:
-        return self._by_key.get((etype, eid))
+        index = self.index_of.get(etype, {}).get(eid)
+        return None if index is None else self._all[index]
 
     def of_type(self, etype: str) -> list[Entity]:
-        if etype not in self._by_type:
-            raise DataError(f"unknown entity type {etype!r}")
-        return self._by_type[etype]
+        """A new list of etype's entities in registration order."""
+        return list(map(self._all.__getitem__, self.indices(etype).tolist()))
 
     def indices(self, etype: str) -> np.ndarray:
         """Global indices of etype's entities in registration order, as a
         read-only int64 array. Built on first use and rebuilt once the type
         has grown since."""
-        ents = self.of_type(etype)
+        if etype not in self.index_of:
+            raise DataError(f"unknown entity type {etype!r}")
+        ids_of = self.index_of[etype]
         array = self._indices.get(etype)
-        if array is None or len(array) != len(ents):
-            array = np.fromiter((e.index for e in ents), dtype=np.int64, count=len(ents))
+        if array is None or len(array) != len(ids_of):
+            array = np.fromiter(ids_of.values(), np.int64, len(ids_of))
             array.flags.writeable = False
             self._indices[etype] = array
         return array
@@ -189,7 +200,7 @@ class EntityRegistry:
 
     @property
     def types(self) -> list[str]:
-        return self._types
+        return list(self.index_of)
 
     def __len__(self) -> int:
         return len(self._all)
@@ -242,7 +253,7 @@ class Database:
         self._columns = columns
         for array in columns.values():
             array.flags.writeable = False
-        self._index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._index: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
     @property
     def relations(self) -> dict[str, Relation]:
@@ -260,16 +271,19 @@ class Database:
         return self._columns[relation]
 
     def cell_index(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
-        """The relation's cell keys in ascending order and their labels."""
-        if relation not in self._index:
+        """The relation's cell keys in ascending order and their labels.
+        Built on first use and rebuilt once the registry has grown since."""
+        n = len(self.entities)
+        index = self._index.get(relation)
+        if index is None or index[0] != n:
             rows, cols, labels = self.columns(relation)
-            keys = rows * len(self.entities) + cols
+            keys = rows * n + cols
             by_key = np.argsort(keys)
-            index = keys[by_key], labels[by_key]
-            for array in index:  # read-only before any other reader can see it
+            index = n, keys[by_key], labels[by_key]
+            for array in index[1:]:  # read-only before any other reader can see it
                 array.flags.writeable = False
             self._index[relation] = index
-        return self._index[relation]
+        return index[1:]
 
     def tuple_count(self, relation: str) -> int:
         return self.columns(relation).shape[1]
@@ -297,8 +311,8 @@ class Database:
 
 
 # build_database takes its stream in chunks this long, which the cyclic
-# collector walks quickly. A new id is numbered _NEW + its place in its run,
-# above every index, until it is registered.
+# collector walks quickly. register_all maps a key it has not numbered yet to
+# _NEW + its place, above every index.
 _CHUNK_TUPLES = 1 << 14
 _NEW = 1 << 40
 _LABELS = {0: 0, 1: 1}
@@ -317,7 +331,8 @@ def build_database(manifest: Manifest, tuple_stream: Iterable[LabeledCell],
     time; one stable sort at the end drops duplicates and finds conflicts.
     """
     entities = EntityRegistry(manifest.entity_types)
-    entities.register_all(census or ())
+    census = list(census or ())
+    entities.register_all([etype for etype, _ in census], [eid for _, eid in census])
     store = _CellStore(manifest, entities)
     stream = iter(tuple_stream)
     while True:
@@ -346,8 +361,7 @@ class _CellStore:
         self.code_of = {rel.name: code for code, rel in enumerate(self.relations)
                         if {rel.row_type, rel.col_type} <= set(entities.types)}
         self.positives_only = np.array([rel.positives_only for rel in self.relations] + [False])
-        self.index_of = {etype: {e.id: e.index for e in entities.of_type(etype)}
-                         for etype in entities.types}
+        self.sides = np.array([(rel.row_type, rel.col_type) for rel in self.relations], object)
         self.codes: list[np.ndarray] = []
         self.keys: list[np.ndarray] = []
         self.labels: list[np.ndarray] = []
@@ -369,9 +383,11 @@ class _CellStore:
                 stop = list(map(bool, ids[:stop])).index(False)
         self.codes.append(codes[:stop])
         self.labels.append(labs[:stop])
-        runs = np.flatnonzero(np.diff(codes[:stop], prepend=-1, append=-1)).tolist()
-        for a, b in zip(runs, runs[1:]):
-            self._add_run(self.relations[codes[a]], e1s[a:b], e2s[a:b])
+        # e1 of tuple t is key 2t, e2 key 2t + 1
+        ids = [None] * (2 * stop)
+        ids[0::2], ids[1::2] = e1s[:stop], e2s[:stop]
+        cells = self.entities.register_all(self.sides[codes[:stop]].ravel().tolist(), ids)
+        self.keys.append(cells[0::2] << 32 | cells[1::2])
         if stop == n:
             return
         self.columns()
@@ -384,26 +400,7 @@ class _CellStore:
         if labs[stop] == 0 and rel.positives_only:
             raise DataError(f"relation {name} is positives_only but tuple ({e1_id},{e2_id}) "
                             "has label 0")
-        self.entities.register_all([(rel.row_type, e1_id), (rel.col_type, e2_id)])
-
-    def _add_run(self, rel: Relation, row_ids: list[str], col_ids: list[str]) -> None:
-        # One setdefault pass maps each id to its index and a new one to _NEW
-        # + its place in the run: e1 of tuple t at 2t, e2 at 2t + 1.
-        ids = list(itertools.chain.from_iterable(zip(row_ids, col_ids)))
-        sides = (self.index_of[rel.row_type], self.index_of[rel.col_type])
-        cells = np.fromiter(map(dict.setdefault, itertools.cycle(sides), ids, itertools.count(_NEW)),
-                            np.int64, len(ids)).reshape(-1, 2)
-        fresh = cells >= _NEW
-        if fresh.any():  # register the new ids by first place; each is its rank
-            places = cells[fresh] - _NEW
-            first = np.zeros(len(ids), dtype=bool)
-            first[places] = True
-            added = self.entities.register_all(((rel.row_type, rel.col_type)[p & 1], ids[p])
-                                               for p in np.flatnonzero(first).tolist())
-            for ent in added:
-                self.index_of[ent.type][ent.id] = ent.index
-            cells[fresh] = added[0].index + np.cumsum(first)[places] - 1
-        self.keys.append(cells[:, 0] << 32 | cells[:, 1])
+        self.entities.register_all([rel.row_type, rel.col_type], [e1_id, e2_id])
 
     def columns(self) -> dict[str, np.ndarray]:
         """Each relation's (3, n) columns, every cell at its first occurrence,

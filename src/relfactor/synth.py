@@ -103,8 +103,7 @@ def generate_planted(spec: SynthSpec) -> Database:
         for etype, prefix, count in zip(manifest.entity_types, "uic",
                                         (spec.n_users, spec.n_items, spec.n_categories)):
             width = len(str(count - 1))
-            for n in range(count):
-                entities.register(etype, f"{prefix}{n:0{width}d}")
+            entities.register_all([etype] * count, [f"{prefix}{n:0{width}d}" for n in range(count)])
     # k_true too large for a float, or factors, cells or entities that cannot be
     # shaped or allocated
     except (OverflowError, ValueError, MemoryError):

@@ -651,6 +651,10 @@ class TestCompiledRowParser:
         ({5: _set_last_token("nan"), 9: _set_last_token("1e")}, "m.rfm:9: malformed number"),
         ({5: _set_last_token("inf"), 8: lambda l: [l.replace("user:u2", "user:", 1)]},
          "m.rfm:8: empty entity id"),
+        ({6: lambda l: [l.replace("business:b1", "user:u1", 1)],
+          8: lambda l: [l.replace("user:u2", "user:", 1)]}, "m.rfm:6: duplicate entity user:u1"),
+        ({5: lambda l: [l.replace("user:u1", "user:", 1)],
+          8: lambda l: [l.replace("user:u2", "business:b2", 1)]}, "m.rfm:5: empty entity id"),
     ])
     def test_first_fault_in_documented_order(self, model_lines, tmp_path, edits, error):
         lines = list(model_lines)

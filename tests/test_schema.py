@@ -153,6 +153,11 @@ class TestEntityIndices:
         result = nearest_neighbors(store, "user", "u1", n=3, type_filter="word")
         assert result.neighbors == []
 
+    def test_of_type_returns_a_new_list(self, simple_db):
+        simple_db.entities.of_type("user").clear()
+        assert [e.id for e in simple_db.entities.of_type("user")] == ["u1", "u2"]
+        assert simple_db.entities.indices("user").tolist() == [0, 3]
+
     def test_returned_array_is_read_only(self, simple_db):
         with pytest.raises(ValueError, match="read-only"):
             simple_db.entities.indices("user")[0] = 7
@@ -191,6 +196,13 @@ class TestLookup:
     def test_observed_cell(self, simple_db):
         assert lookup(simple_db, "R", "u1", "b1") == 1
         assert lookup(simple_db, "R", "u1", "b2") == 0
+
+    def test_cell_index_rebuilt_after_registry_grows(self, simple_manifest):
+        db = build_database(simple_manifest, [("R", "u1", "b1", 1), ("R", "u2", "b1", 0)])
+        assert lookup(db, "R", "u2", "b1") == 0
+        db.entities.register("user", "u3")
+        assert lookup(db, "R", "u2", "b1") == 0 and lookup(db, "R", "u1", "b1") == 1
+        assert lookup(db, "R", "u3", "b1") is None
 
     def test_unobserved_cell_plain_relation(self, simple_db):
         assert lookup(simple_db, "R", "u2", "b2") is None
@@ -355,12 +367,24 @@ class TestReadColumns:
 
 
 def loop_build(manifest, stream, census=None):
-    """build_database as one loop over the tuples, a dict of cell keys per
-    relation: the reference. Returns the registry as (type, id, ordinal,
-    index) and each relation's columns as lists."""
-    entities = schema.EntityRegistry(manifest.entity_types)
+    """build_database as one loop over the tuples, a dict of entities per
+    type and of cell keys per relation: the reference. Returns the registry
+    as (type, id, ordinal, index) and each relation's columns as lists."""
+    entities = []
+    of_type = {etype: {} for etype in manifest.entity_types}
+
+    def register(etype, eid):
+        if etype not in of_type:
+            raise DataError(f"unknown entity type {etype!r}")
+        if eid not in of_type[etype]:
+            if not eid:
+                raise DataError("empty entity id")
+            entities.append(Entity(etype, eid, len(of_type[etype]), len(entities)))
+            of_type[etype][eid] = entities[-1]
+        return of_type[etype][eid]
+
     for etype, eid in census or ():
-        entities.register(etype, eid)
+        register(etype, eid)
     cells = {name: {} for name in manifest.relations}
     for rel_name, e1_id, e2_id, label in stream:
         rel = manifest.relations.get(rel_name)
@@ -371,8 +395,8 @@ def loop_build(manifest, stream, census=None):
         if rel.positives_only and label != 1:
             raise DataError(
                 f"relation {rel_name} is positives_only but tuple ({e1_id},{e2_id}) has label 0")
-        e1 = entities.register(rel.row_type, e1_id)
-        e2 = entities.register(rel.col_type, e2_id)
+        e1 = register(rel.row_type, e1_id)
+        e2 = register(rel.col_type, e2_id)
         if cells[rel_name].setdefault((e1.index, e2.index), label) != label:
             raise DataError(f"relation {rel_name}: conflicting labels for cell ({e1_id},{e2_id})")
     return ([tuple(e) for e in entities],
@@ -418,7 +442,8 @@ def tuple_streams(draw):
         elif fault == "zero":
             stream.insert(at, ("P", "i0", "t0", 0))
         else:
-            stream.insert(at, draw(st.sampled_from([("R", "", "i0", 1), ("F", "u0", "", 0)])))
+            stream.insert(at, draw(st.sampled_from([("R", "", "i0", 1), ("F", "u0", "", 0),
+                                                    ("R", None, "i0", 0)])))
     census = draw(st.none() | st.lists(st.sampled_from(
         [("user", "u9"), ("item", "i1"), ("tag", "t1"), ("user", "u0")]), max_size=4))
     if census is not None and draw(st.integers(0, 9)) == 0:
@@ -473,14 +498,17 @@ class TestChunkedBuild:
     def test_register_all_registers_new_keys_in_order(self, rich_manifest):
         registry = schema.EntityRegistry(rich_manifest.entity_types)
         registry.register("business", "b0")
-        added = registry.register_all([("user", "u0"), ("business", "b0"), ("business", "b1"),
-                              ("user", "u0"), ("user", "u1")])
-        assert [tuple(e) for e in added] == [("user", "u0", 0, 1), ("business", "b1", 1, 2),
-                                             ("user", "u1", 1, 3)]
-        assert list(registry) == [registry.get("business", "b0"), *added]
-        for bad, text in (("nosuch", "unknown entity type"), ("user", "empty entity id")):
+        indices = registry.register_all(["user", "business", "business", "user", "user"],
+                                        ["u0", "b0", "b1", "u0", "u1"])
+        assert indices.dtype == np.int64 and indices.tolist() == [1, 0, 2, 1, 3]
+        assert [tuple(e) for e in registry] == [("business", "b0", 0, 0), ("user", "u0", 0, 1),
+                                                ("business", "b1", 1, 2), ("user", "u1", 1, 3)]
+        assert registry.index_of["user"] == {"u0": 1, "u1": 3}
+        for bad, eid, text in (("nosuch", "x", "unknown entity type"),
+                               ("user", "", "empty entity id"), ("user", None, "empty entity id")):
             with pytest.raises(DataError, match=text):
-                registry.register_all([("user", "u2"), (bad, "" if bad == "user" else "x")])
+                registry.register_all(["user", bad, "user"], ["u2", eid, ""])
+        assert len(registry) == 4 and registry.find("user", "u2") is None
 
 
 def line_loop(path, manifest):

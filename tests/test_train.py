@@ -146,6 +146,17 @@ class TestSampleNegatives:
         assert all(cell not in taken for cell in cells)
         assert len(set(cells)) == 3
 
+    def test_registry_grown_after_first_draw(self):
+        # the stored cells are keyed over the grown registry, so all 13 free
+        # cells are drawn and none of the 3 stored ones
+        db = self.positives_db()
+        sample_negatives(db, "BW", 5, substream(1, "negatives"))
+        db.entities.register("user", "u1")
+        cells, degenerate = sample_negatives(db, "BW", 13, substream(1, "negatives"))
+        assert not degenerate and len(set(cells)) == 13
+        taken = stored(db, "BW")
+        assert not any(cell in taken for cell in cells)
+
     def test_count_zero(self):
         db = self.positives_db()
         cells, degenerate = sample_negatives(db, "BW", 0, substream(1, "negatives"))
