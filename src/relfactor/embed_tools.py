@@ -46,10 +46,10 @@ def nearest_neighbors(store: EmbeddingStore, entity_type: str, entity_id: str,
         idx = (store.entities.indices(type_filter) if type_filter is not None
                else np.arange(len(store.entities)))
         idx = idx[idx != query.index]
-        mat = store.vectors[idx]
-        scores = mat @ q
+        # every row's product, so a pair's score bits do not depend on the candidates
+        scores = (store.vectors @ q)[idx]
         if metric == "cosine":
-            norms = np.linalg.norm(mat, axis=1)
+            norms = store.row_norms()[idx]
             scores = np.where(norms > 0.0, scores / (norms * qn), 0.0)
     # rank only the candidates that can reach the top n: everything not
     # strictly below the n-th best, which keeps boundary ties and NaN

@@ -52,6 +52,10 @@ class EmbeddingStore:
     relations, and rel_ids maps each name to it. biases (n_entities,) and
     offsets (n_relations,), indexed by rel_id, exist only when enable_biases
     is true.
+
+    row_norms() caches the norm of each row of vectors, and that array is
+    read-only while they are cached: a write in place raises instead of
+    leaving them stale. drop_norms() gives it back its writeable flag.
     """
 
     def __init__(self, entities: EntityRegistry, relations: dict[str, Relation],
@@ -63,14 +67,33 @@ class EmbeddingStore:
         self.entities = entities
         self.relations = dict(relations)
         self.rel_ids = {name: rel_id for rel_id, name in enumerate(self.relations)}
+        self._norms = None
         self.vectors = vectors
         self.enable_biases = enable_biases
         if enable_biases:
             self.biases = biases if biases is not None else np.zeros(len(entities))
             self.offsets = offsets if offsets is not None else np.zeros(len(self.relations))
+            if np.shape(self.biases) != (len(entities),) or \
+                    np.shape(self.offsets) != (len(self.relations),):
+                raise DataError("biases must be (n_entities,) and offsets (n_relations,)")
         else:
             self.biases = None
             self.offsets = None
+
+    def row_norms(self) -> np.ndarray:
+        """The norm of each row of vectors, computed on first use for each array."""
+        vectors = self.vectors
+        if self._norms is None or self._norms[0] is not vectors:
+            self.drop_norms()
+            self._norms = vectors, np.linalg.norm(vectors, axis=1), vectors.flags.writeable
+            vectors.flags.writeable = False
+        return self._norms[1]
+
+    def drop_norms(self) -> None:
+        """Forget the row norms; their array gets back its writeable flag."""
+        if self._norms is not None:
+            self._norms[0].flags.writeable = self._norms[2]
+            self._norms = None
 
     @property
     def k(self) -> int:

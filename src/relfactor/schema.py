@@ -141,8 +141,8 @@ class EntityRegistry:
         """Register each key (types[t], ids[t]) in order; returns every key's
         global index as an int64 array. New keys are numbered after every
         registered one, in the order of their first places. The first key of
-        an unknown type or with an empty id raises DataError, and then none
-        is registered."""
+        an unknown type or with an empty id raises DataError; then, as after
+        any other failure, none is registered."""
         index_of = self.index_of
         if not (index_of.keys() >= set(types) and all(ids)):
             for etype, eid in zip(types, ids):
@@ -152,8 +152,14 @@ class EntityRegistry:
                     raise DataError("empty entity id")
         # one setdefault pass, then the new ids are numbered
         ordinals = {etype: itertools.count(len(ids_of)) for etype, ids_of in index_of.items()}
-        indices = np.fromiter(map(dict.setdefault, map(index_of.__getitem__, types), ids,
-                                  itertools.count(_NEW)), np.int64, len(ids))
+        try:
+            indices = np.fromiter(map(dict.setdefault, map(index_of.__getitem__, types), ids,
+                                      itertools.count(_NEW)), np.int64, len(ids))
+        except BaseException:  # e.g. an unhashable id: take back this call's placeholders
+            for ids_of in index_of.values():
+                for eid in [eid for eid, index in ids_of.items() if index >= _NEW]:
+                    del ids_of[eid]
+            raise
         fresh = indices >= _NEW
         if fresh.any():
             places = indices[fresh] - _NEW

@@ -140,6 +140,7 @@ def sgd_step(store: EmbeddingStore, relation: str, e1_id: str, e2_id: str,
              y: int, gamma: float, lam: float) -> None:
     """Apply one update on a labeled cell, mutating the store in place."""
     rel, ent1, ent2 = store.resolve(relation, e1_id, e2_id)
+    store.drop_norms()
     _apply_update(store.vectors, store.biases, store.offsets, store.rel_ids[rel.name],
                   ent1.index, ent2.index, float(y), gamma, lam)
     touched = store.vectors[[ent1.index, ent2.index]]

@@ -8,6 +8,7 @@ from relfactor.embed_tools import nearest_neighbors, project_2d
 from relfactor.errors import DataError
 from relfactor.model import EmbeddingStore
 from relfactor.schema import build_database, parse_manifest
+from relfactor.train import sgd_step
 
 
 def make_store(vectors_by_entity, manifest_text=None):
@@ -118,10 +119,9 @@ def reference_neighbors(store, entity_type, entity_id, n, metric, type_filter):
         if not candidates:
             return []
         idx = np.array([e.index for e in candidates], dtype=np.int64)
-        mat = store.vectors[idx]
-        scores = mat @ q
+        scores = (store.vectors @ q)[idx]
         if metric == "cosine":
-            norms = np.linalg.norm(mat, axis=1)
+            norms = np.linalg.norm(store.vectors, axis=1)[idx]
             scores = np.where(norms > 0.0, scores / (norms * qn), 0.0)
     top = np.lexsort((idx, -scores))[:n]
     return [(candidates[t], float(scores[t])) for t in top]
@@ -171,6 +171,67 @@ class TestNeighborRankingMatchesFullSort:
             return
         result = nearest_neighbors(store, qtype, qid, n, metric, type_filter)
         assert _bits(result.neighbors) == expected
+
+
+def trained_like_store(seed, n_entities=12, k=30):
+    """Seeded normal vectors, which round like trained ones, over as many
+    words as categories in a seeded order."""
+    rng = np.random.default_rng(seed)
+    types = rng.permutation(["word", "category"] * (n_entities // 2))
+    return make_store({(str(t), f"e{i}"): rng.normal(size=k) for i, t in enumerate(types)})
+
+
+class TestCachedNorms:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["dot", "cosine"]))
+    def test_score_bits_do_not_depend_on_the_type_filter(self, seed, metric):
+        store = trained_like_store(seed)
+        query = store.entities.at(0)
+        everyone = nearest_neighbors(store, query.type, query.id, len(store.entities), metric)
+        unfiltered = {e: s.hex() for e, s in everyone.neighbors}
+        for etype in ("word", "category"):
+            result = nearest_neighbors(store, query.type, query.id, len(store.entities),
+                                       metric, type_filter=etype)
+            assert sorted(e.index for e, _ in result.neighbors) == \
+                [e.index for e in store.entities.of_type(etype) if e != query]
+            assert [s.hex() for _, s in result.neighbors] == \
+                [unfiltered[e] for e, _ in result.neighbors]
+
+    def test_query_after_sgd_step_ranks_as_a_fresh_store(self):
+        store = trained_like_store(3)
+        query = store.entities.at(0)
+        nearest_neighbors(store, query.type, query.id, 5)  # caches the norms
+        word, category = store.entities.of_type("word")[0], store.entities.of_type("category")[0]
+        sgd_step(store, "CW", category.id, word.id, 1, gamma=5.0, lam=0.0)
+        assert store.vectors.flags.writeable
+        fresh = EmbeddingStore(store.entities, store.relations, store.vectors.copy())
+        for e in (query, word, category):
+            assert _bits(nearest_neighbors(store, e.type, e.id, 11).neighbors) == \
+                _bits(nearest_neighbors(fresh, e.type, e.id, 11).neighbors)
+
+    def test_write_in_place_after_a_cosine_query_raises(self):
+        store = trained_like_store(4)
+        query = store.entities.at(0)
+        nearest_neighbors(store, query.type, query.id, 3, metric="cosine")
+        with pytest.raises(ValueError, match="read-only"):
+            store.vectors[1, 0] = 7.0
+        # a new array gets norms of its own and is writable until its first
+        # query, which gives the old one back its writeable flag
+        old = store.vectors
+        store.vectors = replaced = old * 2.0
+        replaced[1] = -replaced[1]
+        result = nearest_neighbors(store, query.type, query.id, 11, metric="cosine")
+        fresh = EmbeddingStore(store.entities, store.relations, replaced.copy())
+        assert _bits(result.neighbors) == \
+            _bits(nearest_neighbors(fresh, query.type, query.id, 11, metric="cosine").neighbors)
+        assert old.flags.writeable and not replaced.flags.writeable
+
+    def test_dot_queries_never_build_the_norms(self):
+        store = trained_like_store(5)
+        for e in store.entities:
+            nearest_neighbors(store, e.type, e.id, 3, metric="dot")
+        assert store.vectors.flags.writeable
+        store.vectors[0, 0] = 1.0
 
 
 class TestProject2d:

@@ -276,6 +276,15 @@ class TestInitEmbeddings:
         assert np.all(store.biases == 0.0)
         assert all(v == 0.0 for v in store.offsets)
 
+    @pytest.mark.parametrize("biases, offsets", [
+        (np.zeros(3), None), (None, np.zeros(2)), (np.zeros((4, 1)), None), (None, np.zeros(0)),
+    ])
+    def test_biases_or_offsets_of_the_wrong_shape_rejected(self, simple_db, biases, offsets):
+        assert (len(simple_db.entities), len(simple_db.relations)) == (4, 1)
+        with pytest.raises(DataError, match=r"biases must be \(n_entities,\)"):
+            EmbeddingStore(simple_db.entities, simple_db.relations, np.zeros((4, 2)),
+                           enable_biases=True, biases=biases, offsets=offsets)
+
 
 class TestPersistence:
     def test_roundtrip_bit_exact(self, simple_db, tmp_path):

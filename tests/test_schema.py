@@ -510,6 +510,16 @@ class TestChunkedBuild:
                 registry.register_all(["user", bad, "user"], ["u2", eid, ""])
         assert len(registry) == 4 and registry.find("user", "u2") is None
 
+    def test_failed_register_all_leaves_the_registry_unchanged(self, rich_manifest):
+        registry = schema.EntityRegistry(rich_manifest.entity_types)
+        registry.register("business", "b0")
+        before = {etype: dict(ids_of) for etype, ids_of in registry.index_of.items()}
+        with pytest.raises(TypeError):  # an unhashable id, found after "a" and "b"
+            registry.register_all(["user"] * 3, ["a", "b", ["x"]])
+        assert registry.index_of == before
+        assert len(registry) == 1 and registry.find("user", "a") is None
+        assert tuple(registry.register("user", "c")) == ("user", "c", 0, 1)
+
 
 def line_loop(path, manifest):
     """read_tuple_stream one line at a time from the file's bytes, a line that
