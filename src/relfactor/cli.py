@@ -2,19 +2,21 @@
 predict / nn / project / export-vectors subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
-Output files are written to a temporary name and atomically renamed, so a
-nonzero exit never leaves a partially written file behind.
+Every text output but the model files (model.write_rows) is streamed in
+blocks of lines by schema.write_lines to a temporary name that is renamed
+onto the target only once it is whole, so a nonzero exit never leaves a
+partially written file behind; ingest renames its tuple streams only after
+all of them are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .errors import DataError, DivergenceError
 from .evaluation import (SplitSpec, check_threshold, classify, evaluate, split_cold_start,
@@ -23,14 +25,12 @@ from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
 from .model import load_model, save_model, score_cells, sigmoid_array, write_rows
-from .schema import (Cells, Database, Manifest, atomic_path, build_database, format_manifest,
-                     load_manifest, read_columns, read_tuple_stream, tuple_line_template)
+from .schema import (Database, Manifest, atomic_path, build_database, format_manifest,
+                     load_manifest, read_columns, read_tuple_stream, tuple_line_template,
+                     write_lines)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
-
-
-_CELL_BLOCK = 1 << 16  # _write_cells joins and writes this many lines at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,25 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _write_atomic(path: str | os.PathLike, text: str) -> None:
-    with atomic_path(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
-
-
-def _write_cells(path: str | os.PathLike, template: str, cells: Cells) -> None:
-    """Write one ``template % (e1_id, e2_id, label)`` line per cell, joined
-    and written _CELL_BLOCK lines at a time; the id array of object dtype
-    hands out the registry's own id strings."""
-    ids = np.array([e.id for e in cells.entities], dtype=object)
-    rows, cols, labels = cells.columns
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        for start in range(0, len(rows), _CELL_BLOCK):
-            block = slice(start, start + _CELL_BLOCK)
-            f.write("".join(map(template.__mod__, zip(ids[rows[block]].tolist(),
-                                                      ids[cols[block]].tolist(),
-                                                      labels[block].tolist()))))
 
 
 def _load_database(schema_path: str, data_dir: str) -> Database:
@@ -83,11 +64,10 @@ def _load_database(schema_path: str, data_dir: str) -> Database:
 def _write_database(db: Database, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "manifest.txt", format_manifest(db.manifest))
-    _write_atomic(out / "entities.tsv", "".join(f"{e.type}\t{e.id}\n" for e in db.entities))
+    write_lines(out / "manifest.txt", "%s", [format_manifest(db.manifest)])
+    write_lines(out / "entities.tsv", "%s\t%s\n", ((e.type, e.id) for e in db.entities))
     for name, rel in db.relations.items():
-        _write_cells(out / f"{name}.tsv", tuple_line_template(rel),
-                     Cells(name, db.entities, db.columns(name)))
+        write_lines(out / f"{name}.tsv", tuple_line_template(rel), db.iter_tuples(name))
 
 
 def _parse_entity_ref(ref: str) -> tuple[str, str]:
@@ -138,8 +118,8 @@ def _cmd_ingest(args) -> str:
         if zero:
             raise DataError(f"relation {rel.name} is positives_only but tuple "
                             f"({zero[0]},{zero[1]}) has label 0")
-        template = tuple_line_template(rel)
-        queued[rel.name] = "".join([template % t for t in triples])
+        template, name = tuple_line_template(rel), rel.name
+        queued[name] = "".join([template % (name, e1, e2, y) for e1, e2, y in triples])
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
@@ -162,8 +142,9 @@ def _cmd_ingest(args) -> str:
     if not queued:
         raise DataError("no input files given; nothing to ingest")
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in queued.items():
-        _write_atomic(out / f"{name}.tsv", text)
+    with contextlib.ExitStack() as renames:  # each file is renamed once all are written
+        for name, text in queued.items():
+            write_lines(renames.enter_context(atomic_path(out / f"{name}.tsv")), "%s", [text])
     return f"wrote {len(queued)} tuple stream(s) to {out}"
 
 
@@ -182,10 +163,10 @@ def _cmd_split(args) -> str:
         train_db, val, test, cold = split_cold_start(db, spec)
     _write_database(train_db, out / "train")
     template = tuple_line_template(db.relation(args.target), labeled=True)
-    _write_cells(out / "validation.tsv", template, val)
-    _write_cells(out / "test.tsv", template, test)
+    write_lines(out / "validation.tsv", template, val)
+    write_lines(out / "test.tsv", template, test)
     if cold is not None:
-        _write_atomic(out / "cold_entities.txt", "".join(f"{e.key}\n" for e in cold))
+        write_lines(out / "cold_entities.txt", "%s\n", ((e.key,) for e in cold))
     summary = (f"{mode} split of {args.target}: "
                f"{train_db.tuple_count(args.target)} train, {len(val)} validation, "
                f"{len(test)} test tuples")
@@ -206,7 +187,7 @@ def _cmd_train(args) -> str:
     store, log = train(db, config, validation=validation)
     save_model(store, args.out)
     if args.log:
-        _write_atomic(args.log, log.to_tsv())
+        write_lines(args.log, "%s", [log.to_tsv()])
     last = log.entries[-1]
     summary = f"trained {config.epochs} epochs; final objective {last.objective:.4f}"
     if validation is not None:
@@ -222,10 +203,9 @@ def _cmd_evaluate(args) -> str:
     test = list(read_tuple_stream(args.test, manifest))
     report = evaluate(store, test, threshold=args.threshold)
     if args.report:
-        _write_atomic(args.report, report.to_tsv())
+        write_lines(args.report, "%s", [report.to_tsv()])
     if args.pr_out:
-        text = "".join(f"{p:.6f}\t{r:.6f}\t{t:.6g}\n" for p, r, t in report.pr_points)
-        _write_atomic(args.pr_out, text)
+        write_lines(args.pr_out, "%.6f\t%.6f\t%.6g\n", report.pr_points)
     pooled = report.pooled
     return (f"{len(test)} cells @ threshold {args.threshold}: "
             f"precision {pooled.precision:.4f}, recall {pooled.recall:.4f}, "
@@ -235,28 +215,26 @@ def _cmd_evaluate(args) -> str:
 def _cmd_predict(args) -> str:
     check_threshold(args.threshold)
     store = load_model(args.model)
-    lines = []
-    scored = []  # positions in lines of the pairs that resolved
+    pairs = read_columns(args.pairs, 3, 3)
+    scored = []  # positions of the pairs that resolved
     rel_ids, rows, cols = [], [], []
-    for parts in zip(*read_columns(args.pairs, 3, 3)):
-        line = "\t".join(parts)
+    for at, parts in enumerate(zip(*pairs)):
         try:
             rel, e1, e2 = store.resolve(*parts)
         except DataError:
             if args.strict:
                 raise
-            lines.append(f"{line}\tERR_UNKNOWN_ENTITY")
             continue
-        scored.append(len(lines))
-        lines.append(line)
+        scored.append(at)
         rel_ids.append(store.rel_ids[rel.name])
         rows.append(e1.index)
         cols.append(e2.index)
     probs = sigmoid_array(score_cells(store, rel_ids, rows, cols)).tolist()
-    for t, p in zip(scored, probs):
-        lines[t] += f"\t{p:.17g}\t{classify(p, args.threshold)}"
-    _write_atomic(args.out, "".join(line + "\n" for line in lines))
-    errors = len(lines) - len(scored)
+    results = ["ERR_UNKNOWN_ENTITY"] * len(pairs[0])
+    for at, p in zip(scored, probs):
+        results[at] = f"{p:.17g}\t{classify(p, args.threshold)}"
+    write_lines(args.out, "%s\t%s\t%s\t%s\n", zip(*pairs, results))
+    errors = len(results) - len(scored)
     summary = f"scored {len(scored)} pairs"
     if errors:
         summary += f" ({errors} rows with unknown entities)"
@@ -277,8 +255,7 @@ def _cmd_project(args) -> str:
     store = load_model(args.model)
     subset = [_parse_entity_ref(ref.strip()) for ref in read_columns(args.entities, 1, 1)[0]]
     coords = project_2d(store, subset)
-    text = "".join(f"{e.key}\t{x:.17g}\t{y:.17g}\n" for e, x, y in coords)
-    _write_atomic(args.out, text)
+    write_lines(args.out, "%s\t%.17g\t%.17g\n", ((e.key, x, y) for e, x, y in coords))
     return f"projected {len(coords)} entities to 2-D"
 
 

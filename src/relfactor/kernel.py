@@ -133,11 +133,13 @@ def _epoch(fn) -> EpochKernel:
                   offsets: Optional[np.ndarray], rel: np.ndarray, rows: np.ndarray,
                   cols: np.ndarray, labels: np.ndarray, gamma: float, lam: float) -> int:
         """Same contract as train._python_epoch. The parameters are updated
-        in place, so they must be C-contiguous float64 already; every index
-        is checked before the kernel dereferences it."""
+        in place, so they must be float64 arrays with numpy's carray flag,
+        C-contiguous, aligned and writeable (a read-only one raises before any
+        update, as in the Python loop); every index is checked before the
+        kernel dereferences it."""
         params = [a for a in (vectors, biases, offsets) if a is not None]
-        if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in params):
-            raise ValueError("parameters must be C-contiguous float64 arrays")
+        if not all(a.dtype == np.float64 and a.flags.carray for a in params):
+            raise ValueError("parameters must be writeable C-contiguous float64 arrays")
         rel, rows, cols, labels = (np.ascontiguousarray(a, dtype=np.int64)
                                    for a in (rel, rows, cols, labels))
         n = len(rows)

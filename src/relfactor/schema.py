@@ -231,13 +231,18 @@ class Cells(Sequence):
         return self.columns.shape[1]
 
     def __getitem__(self, at):
-        picked = Cells(self.relation, self.entities, self.columns[:, at])
-        return picked if isinstance(at, slice) else next(iter(picked))
+        if isinstance(at, slice):
+            return Cells(self.relation, self.entities, self.columns[:, at])
+        i, j, label = self.columns[:, at].tolist()
+        return (self.relation, self.entities.at(i).id, self.entities.at(j).id, label)
 
     def __iter__(self) -> Iterator[LabeledCell]:
-        all_ents = list(self.entities)
-        for i, j, label in zip(*self.columns.tolist()):
-            yield (self.relation, all_ents[i].id, all_ents[j].id, label)
+        # a block of cells at a time, so no million tuples are held at once
+        ids = np.array([e.id for e in self.entities], dtype=object)
+        for start in range(0, len(self), _LINE_BLOCK):
+            rows, cols, labels = self.columns[:, start:start + _LINE_BLOCK]
+            yield from zip(itertools.repeat(self.relation), ids[rows].tolist(),
+                           ids[cols].tolist(), labels.tolist())
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, (Cells, list)) else NotImplemented
@@ -248,8 +253,8 @@ class Database:
 
     A relation's cells are one read-only (3, n) int64 array of row index,
     column index and label (global entity indices) in insertion order, and
-    are keyed as ``row * len(entities) + col``. with_tuples shares the
-    arrays of the relations it keeps.
+    are keyed as ``row << 32 | col``, which orders them by (row, col).
+    with_tuples shares the arrays of the relations it keeps.
     """
 
     def __init__(self, manifest: Manifest, entities: EntityRegistry,
@@ -259,7 +264,7 @@ class Database:
         self._columns = columns
         for array in columns.values():
             array.flags.writeable = False
-        self._index: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._index: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def relations(self) -> dict[str, Relation]:
@@ -277,19 +282,18 @@ class Database:
         return self._columns[relation]
 
     def cell_index(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
-        """The relation's cell keys in ascending order and their labels.
-        Built on first use and rebuilt once the registry has grown since."""
-        n = len(self.entities)
+        """The relation's cell keys in ascending order and their labels,
+        built on first use."""
         index = self._index.get(relation)
-        if index is None or index[0] != n:
+        if index is None:
             rows, cols, labels = self.columns(relation)
-            keys = rows * n + cols
+            keys = rows << 32 | cols
             by_key = np.argsort(keys)
-            index = n, keys[by_key], labels[by_key]
-            for array in index[1:]:  # read-only before any other reader can see it
+            index = keys[by_key], labels[by_key]
+            for array in index:  # read-only before any other reader can see it
                 array.flags.writeable = False
             self._index[relation] = index
-        return index[1:]
+        return index
 
     def tuple_count(self, relation: str) -> int:
         return self.columns(relation).shape[1]
@@ -436,7 +440,7 @@ def lookup(db: Database, relation: str, e1_id: str, e2_id: str) -> Optional[int]
     e1 = db.entities.get(rel.row_type, e1_id)
     e2 = db.entities.get(rel.col_type, e2_id)
     keys, labels = db.cell_index(relation)
-    key = e1.index * len(db.entities) + e2.index
+    key = e1.index << 32 | e2.index
     at = int(np.searchsorted(keys, key))
     if at < len(keys) and keys[at] == key:
         return int(labels[at])
@@ -459,6 +463,11 @@ def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str,
 
 # --- file formats -----------------------------------------------------------
 
+# write_lines formats and writes this many lines at a time, and Cells looks
+# up the ids of this many cells at a time
+_LINE_BLOCK = 1 << 16
+
+
 @contextlib.contextmanager
 def atomic_path(path: str | os.PathLike) -> Iterator[Path]:
     """Yield a temp path; rename it onto ``path`` only on success."""
@@ -470,6 +479,18 @@ def atomic_path(path: str | os.PathLike) -> Iterator[Path]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | os.PathLike, template: str, rows: Iterable) -> None:
+    """Write ``template % row`` for each row as UTF-8 text, _LINE_BLOCK rows
+    formatted and written at a time to an atomic_path temporary file that is
+    renamed onto path only after the last row: on any failure path is left
+    as it was and no temporary file remains."""
+    lines = map(template.__mod__, rows)
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        for first in lines:  # then the rest of its block
+            f.write(first)
+            f.write("".join(itertools.islice(lines, _LINE_BLOCK - 1)))
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -628,10 +649,9 @@ def format_manifest(manifest: Manifest) -> str:
 
 def tuple_line_template(rel: Relation, labeled: bool = False) -> str:
     """%-template of one tuple-stream line of rel, newline included, to be
-    filled with (e1_id, e2_id, label).
+    filled with a (relation, e1_id, e2_id, label) cell.
 
     A positives_only relation's label is implied, so unless ``labeled`` its
-    field is "%.0s", which prints nothing. A "%" in the relation name is escaped.
+    field is "%.0s", which prints nothing.
     """
-    label = "%.0s" if rel.positives_only and not labeled else "\t%s"
-    return rel.name.replace("%", "%%") + "\t%s\t%s" + label + "\n"
+    return "%s\t%s\t%s" + ("%.0s" if rel.positives_only and not labeled else "\t%s") + "\n"

@@ -162,17 +162,15 @@ class _CellPool:
         self.cols = db.entities.indices(rel.col_type)
         if not len(self.rows) or not len(self.cols):
             raise DataError(f"relation {relation}: empty row or column entity population")
-        self.n = len(db.entities)
         keys, labels = db.cell_index(relation)
         self.taken = np.append(keys, _SENTINEL_KEY)
         self.labels = np.append(labels, 0)
         # grid rank = row ordinal * len(cols) + column ordinal; entry i of
         # ``skips`` is the number of free cells ranked before stored cell i
-        ordinal = np.zeros(self.n, dtype=np.int64)
+        ordinal = np.zeros(len(db.entities), dtype=np.int64)
         ordinal[self.rows] = np.arange(len(self.rows))
         ordinal[self.cols] = np.arange(len(self.cols))
-        row_idx, col_idx = np.divmod(keys, self.n)
-        grid = np.sort(ordinal[row_idx] * len(self.cols) + ordinal[col_idx])
+        grid = np.sort(ordinal[keys >> 32] * len(self.cols) + ordinal[keys & 0xFFFFFFFF])
         self.skips = grid - np.arange(len(grid))
         self.n_free = len(self.rows) * len(self.cols) - len(grid)
 
@@ -189,20 +187,20 @@ class _CellPool:
         cells, numpy shuffles an ``arange`` of them: 8 more bytes per free
         cell. Without ``reject``, cells are labeled by lookup (stored, else 0).
         """
-        rows, cols, n = self.rows, self.cols, self.n
+        rows, cols = self.rows, self.cols
         if not 0 <= count <= len(rows) * len(cols):
             raise DataError(f"relation {self.name}: cannot sample {count} of its "
                             f"{len(rows)} x {len(cols)} cells")
         if not reject:
             # row indices are drawn before column indices; seeded runs rely on it
-            keys = (rows[rng.integers(0, len(rows), size=count)] * n
-                    + cols[rng.integers(0, len(cols), size=count)])
+            keys = (rows[rng.integers(0, len(rows), size=count)] << 32
+                    | cols[rng.integers(0, len(cols), size=count)])
             at = np.searchsorted(self.taken, keys)
             return keys, np.where(self.taken[at] == keys, self.labels[at], 0), False
         ranks = rng.choice(self.n_free, min(count, self.n_free), replace=False)
         row_ord, col_ord = np.divmod(ranks + np.searchsorted(self.skips, ranks, side="right"),
                                      len(cols))
-        keys = rows[row_ord] * n + cols[col_ord]
+        keys = rows[row_ord] << 32 | cols[col_ord]
         degenerate = count > self.n_free
         if degenerate:
             keys = np.concatenate([keys, rng.choice(self.taken[:-1], count - self.n_free)])
@@ -217,8 +215,7 @@ def sample_negatives(db: Database, relation: str, count: int,
     if not db.relation(relation).positives_only:
         raise DataError(f"relation {relation} is not positives_only")
     keys, _, degenerate = _CellPool(db, relation).draw(count, rng, reject=True)
-    rows, cols = np.divmod(keys, len(db.entities))
-    return list(zip(rows.tolist(), cols.tolist())), degenerate
+    return list(zip((keys >> 32).tolist(), (keys & 0xFFFFFFFF).tolist())), degenerate
 
 
 def train(db: Database, config: TrainConfig,
@@ -234,7 +231,6 @@ def train(db: Database, config: TrainConfig,
         raise DataError("empty validation set")
     names = list(config.relations)
     rels = [db.relation(name) for name in names]
-    n = len(db.entities)
 
     store = init_embeddings(db, config.k, config.seed, config.init_scale,
                             enable_biases=config.enable_biases)
@@ -248,7 +244,7 @@ def train(db: Database, config: TrainConfig,
     if validation is not None:
         val_ids, val_rows, val_cols, val_labels = resolve_cells(store, validation)
         positive = val_labels == 1
-        val_positive_keys = val_rows[positive] * n + val_cols[positive]
+        val_positive_keys = val_rows[positive] << 32 | val_cols[positive]
 
     # keyed by position in config.relations, which seeds each relation's draws
     pools = {pos: (store.rel_ids[name], _CellPool(db, name))
@@ -273,7 +269,7 @@ def train(db: Database, config: TrainConfig,
             keys, labels, degen = pool.draw(count, rng, reject=positives_only)
             degenerate = degenerate or degen
             neg_counts[pool.name] = count
-            blocks.append(np.stack([np.full(count, rel_id), *np.divmod(keys, n), labels]))
+            blocks.append(np.stack([np.full(count, rel_id), keys >> 32, keys & 0xFFFFFFFF, labels]))
             if positives_only:
                 val_collisions += int(np.count_nonzero(np.isin(keys, val_positive_keys)))
 

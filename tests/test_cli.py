@@ -1,10 +1,16 @@
+import builtins
+import errno
+import io
+import itertools
+import os
+
 import numpy as np
 import pytest
 
 from relfactor import ingest
-from relfactor.cli import _CELL_BLOCK, _write_cells, main
+from relfactor.cli import main
 from relfactor.model import EmbeddingStore, load_model, save_model
-from relfactor.schema import Cells, EntityRegistry, build_database
+from relfactor.schema import _LINE_BLOCK, build_database, write_lines
 
 from conftest import MALFORMED_MODELS, RAW_INPUTS, write_model
 
@@ -106,17 +112,19 @@ class TestSynthAndSplit:
 
 
 def test_write_failing_part_way_leaves_nothing(tmp_path):
-    """Lines reach the temporary file before the whole file is formatted. A
-    line that cannot be formatted, here a two-character id for "%c" after
-    one whole block of cells, leaves no target and no temporary file."""
-    entities = EntityRegistry(["user", "item"])
-    for etype, eid in (("user", "a"), ("item", "b"), ("item", "zz")):
-        entities.register(etype, eid)
-    n = _CELL_BLOCK + 1
-    columns = np.array([[0] * n, [1] * (n - 1) + [2], [1] * n])
-    target = tmp_path / "R.tsv"
+    """Lines reach the temporary file a block at a time, before the rows run
+    out. A row that cannot be formatted, here a two-character id for "%c"
+    after one whole block, leaves no target and no temporary file."""
+    seen = []
+
+    def rows():
+        yield from itertools.repeat(("a", "b", 1), _LINE_BLOCK)
+        seen.extend((p.name, p.stat().st_size > 0) for p in tmp_path.iterdir())
+        yield ("a", "zz", 1)
+
     with pytest.raises(TypeError, match="%c"):
-        _write_cells(target, "R\t%c\t%c\t%s\n", Cells("R", entities, columns))
+        write_lines(tmp_path / "R.tsv", "R\t%c\t%c\t%s\n", rows())
+    assert seen == [(f".R.tsv.tmp.{os.getpid()}", True)]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -432,6 +440,33 @@ class TestIngestCli:
         assert [p.name for p in out.iterdir()] == ["Stars.tsv"]
         assert (out / "Stars.tsv").read_text() == ("Stars\tb2\tp1\t1\nStars\tb1\tp2\t0\n"
                                                    "Stars\tb1\tp1\t1\n")
+
+    def test_failing_last_file_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """Ingest renames its tuple streams only after every one is written:
+        a disk that fills while UW, the last, is written leaves neither R nor
+        BW behind, and no temporary file."""
+        self.write_raw(tmp_path)
+        real_open = io.open
+
+        def open_filling_uw(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and "UW" in os.path.basename(file):
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                f.write = write
+            return f
+
+        monkeypatch.setattr(builtins, "open", open_filling_uw)
+        monkeypatch.setattr(io, "open", open_filling_uw)
+        out = tmp_path / "tuples"
+        assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
+                   "--ratings", str(tmp_path / "ratings.tsv"),
+                   "--reviews", str(tmp_path / "reviews.tsv"), "--min-word-reviews", "1",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("relfactor: error: ")
+        assert "No space left" in err[0]
+        assert list(out.iterdir()) == []
 
     def test_no_inputs_is_data_error(self, tmp_path):
         self.write_raw(tmp_path)

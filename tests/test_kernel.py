@@ -14,6 +14,7 @@ import pytest
 import relfactor as rf
 from relfactor import kernel
 from relfactor.schema import build_database, lookup, parse_manifest
+from relfactor.train import _python_epoch
 
 from conftest import HAS_COMPILER
 
@@ -190,6 +191,22 @@ def test_kernel_rejects_bad_arrays():
         run_epoch(vectors, None, None, *cells[:3], np.array([1, 0]), 0.1, 0.0)
     with pytest.raises(ValueError, match="together"):
         run_epoch(vectors, np.zeros(3), None, *cells, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("read_only", ["vectors", "biases", "offsets"])
+@pytest.mark.parametrize("compiled", [pytest.param(True, marks=needs_compiler), False])
+def test_epoch_refuses_read_only_parameters(compiled, read_only):
+    """Both epochs update the parameters in place, so a read-only one raises
+    ValueError and keeps its values: the compiled one must not write through
+    its pointer where numpy would refuse."""
+    run_epoch = kernel.load().run_epoch if compiled else _python_epoch
+    params = {"vectors": np.full((3, 2), 0.5), "biases": np.full(3, 0.5), "offsets": np.zeros(1)}
+    params[read_only].flags.writeable = False
+    before = params[read_only].copy()
+    cells = [np.array([0]), np.array([0]), np.array([2]), np.array([1])]  # rel, row, col, label
+    with pytest.raises(ValueError, match="read-only|writeable"):
+        run_epoch(params["vectors"], params["biases"], params["offsets"], *cells, 0.1, 0.0)
+    assert np.array_equal(params[read_only], before)
 
 
 def test_unusable_cache_or_missing_source_falls_back(cache, monkeypatch, tmp_path):

@@ -230,9 +230,9 @@ class TestSampleNegatives:
         db = build_database(manifest, stream, census=census)
         keys, labels, degenerate = _CellPool(db, "C").draw(6, substream(2, "negatives"),
                                                            reject=False)
-        n = len(db.entities)
         taken = stored(db, "C")
-        assert labels.tolist() == [taken.get(divmod(key, n), 0) for key in keys.tolist()]
+        assert labels.tolist() == [taken.get((key >> 32, key & 0xFFFFFFFF), 0)
+                                   for key in keys.tolist()]
         assert 1 in labels.tolist() and not degenerate
 
     @staticmethod
@@ -282,8 +282,8 @@ class TestSampleNegatives:
         rng = substream(7, "negatives")
         keys = np.concatenate([pool.draw(3, rng, reject=True)[0] for _ in range(4000)])
         counts = dict(zip(*np.unique(keys, return_counts=True)))
-        free = {r.index * pool.n + c.index for r in db.entities.of_type("a")
-                for c in db.entities.of_type("b")} - {i * pool.n + j for i, j in stored(db, "AB")}
+        free = {r.index << 32 | c.index for r in db.entities.of_type("a")
+                for c in db.entities.of_type("b")} - {i << 32 | j for i, j in stored(db, "AB")}
         assert set(counts) == free
         expected = 4000 * 3 / len(free)
         chi2 = sum((seen - expected) ** 2 / expected for seen in counts.values())
