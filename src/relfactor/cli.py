@@ -2,19 +2,19 @@
 predict / nn / project / export-vectors subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical divergence.
-Every text output but the model files (model.write_rows) is streamed in
-blocks of lines by schema.write_lines to a temporary name that is renamed
-onto the target only once it is whole, so a nonzero exit never leaves a
-partially written file behind; ingest renames its tuple streams only after
-all of them are written.
+Each command hands all of its output files, as blocks of bytes, to one
+schema.write_files call: every file is written to a temporary name and
+renamed onto its target only once all of them are whole, so a failure
+while writing leaves none of them and no temporary file (a failing rename
+can still leave earlier targets renamed). A warning prints as one
+"relfactor: warning:" line.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -24,10 +24,10 @@ from .evaluation import (SplitSpec, check_threshold, classify, evaluate, split_c
 from .ingest import (PreprocessConfig, build_word_relations, filter_categories,
                      read_attributes, read_categories, read_ratings, read_reviews,
                      resolve_rating_conflicts, unwrap_attribute)
-from .model import load_model, save_model, score_cells, sigmoid_array, write_rows
-from .schema import (Database, Manifest, atomic_path, build_database, format_manifest,
+from .model import load_model, model_blocks, score_cells, sigmoid_array, write_rows
+from .schema import (Database, Manifest, build_database, format_manifest, lines,
                      load_manifest, read_columns, read_tuple_stream, tuple_line_template,
-                     write_lines)
+                     write_files)
 from .synth import SynthSpec, generate_planted
 from .train import TrainConfig, train
 from .embed_tools import nearest_neighbors, project_2d
@@ -61,13 +61,12 @@ def _load_database(schema_path: str, data_dir: str) -> Database:
     return build_database(manifest, stream(), census=census)
 
 
-def _write_database(db: Database, out_dir: str | os.PathLike) -> None:
-    out = Path(out_dir)
+def _database_files(db: Database, out: Path) -> list:
     out.mkdir(parents=True, exist_ok=True)
-    write_lines(out / "manifest.txt", "%s", [format_manifest(db.manifest)])
-    write_lines(out / "entities.tsv", "%s\t%s\n", ((e.type, e.id) for e in db.entities))
-    for name, rel in db.relations.items():
-        write_lines(out / f"{name}.tsv", tuple_line_template(rel), db.iter_tuples(name))
+    files = [(out / "manifest.txt", [format_manifest(db.manifest).encode()]),
+             (out / "entities.tsv", lines("%s\t%s\n", ((e.type, e.id) for e in db.entities)))]
+    return files + [(out / f"{name}.tsv", lines(tuple_line_template(rel), db.iter_tuples(name)))
+                    for name, rel in db.relations.items()]
 
 
 def _parse_entity_ref(ref: str) -> tuple[str, str]:
@@ -85,7 +84,7 @@ def _cmd_synth(args) -> str:
                      noise=args.noise, density=args.density,
                      c_density=args.c_density, seed=args.seed)
     db = generate_planted(spec)
-    _write_database(db, args.out)
+    write_files(_database_files(db, Path(args.out)))
     counts = ", ".join(f"{name}={db.tuple_count(name)}" for name in db.relations)
     return f"synthesized {len(db.entities)} entities; tuples: {counts}"
 
@@ -96,7 +95,7 @@ def _cmd_ingest(args) -> str:
                               min_category_entities=args.min_category_entities,
                               stemmer=args.stemmer)
     out = Path(args.out)
-    queued: dict[str, str] = {}  # relation name -> text, written after every input is read
+    queued: dict[str, list[bytes]] = {}  # relation -> blocks, written once every input is read
 
     def relation_for(name: str, expected: set[str]):
         rel = manifest.relations.get(name)
@@ -118,8 +117,9 @@ def _cmd_ingest(args) -> str:
         if zero:
             raise DataError(f"relation {rel.name} is positives_only but tuple "
                             f"({zero[0]},{zero[1]}) has label 0")
-        template, name = tuple_line_template(rel), rel.name
-        queued[name] = "".join([template % (name, e1, e2, y) for e1, e2, y in triples])
+        # the name baked in; formatted now, so the triples are freed before the next input
+        template = tuple_line_template(rel).replace("%s", rel.name.replace("%", "%%"), 1)
+        queued[rel.name] = list(lines(template, triples))
 
     if args.ratings:
         rel = relation_for(args.rating_relation, {args.user_type, args.item_type})
@@ -142,9 +142,7 @@ def _cmd_ingest(args) -> str:
     if not queued:
         raise DataError("no input files given; nothing to ingest")
     out.mkdir(parents=True, exist_ok=True)
-    with contextlib.ExitStack() as renames:  # each file is renamed once all are written
-        for name, text in queued.items():
-            write_lines(renames.enter_context(atomic_path(out / f"{name}.tsv")), "%s", [text])
+    write_files((out / f"{name}.tsv", blocks) for name, blocks in queued.items())
     return f"wrote {len(queued)} tuple stream(s) to {out}"
 
 
@@ -161,12 +159,13 @@ def _cmd_split(args) -> str:
         cold = None
     else:
         train_db, val, test, cold = split_cold_start(db, spec)
-    _write_database(train_db, out / "train")
+    files = _database_files(train_db, out / "train")
     template = tuple_line_template(db.relation(args.target), labeled=True)
-    write_lines(out / "validation.tsv", template, val)
-    write_lines(out / "test.tsv", template, test)
+    files += [(out / "validation.tsv", lines(template, val)),
+              (out / "test.tsv", lines(template, test))]
     if cold is not None:
-        write_lines(out / "cold_entities.txt", "%s\n", ((e.key,) for e in cold))
+        files.append((out / "cold_entities.txt", lines("%s\n", ((e.key,) for e in cold))))
+    write_files(files)
     summary = (f"{mode} split of {args.target}: "
                f"{train_db.tuple_count(args.target)} train, {len(val)} validation, "
                f"{len(test)} test tuples")
@@ -185,9 +184,7 @@ def _cmd_train(args) -> str:
     if args.validation:
         validation = list(read_tuple_stream(args.validation, db.manifest))
     store, log = train(db, config, validation=validation)
-    save_model(store, args.out)
-    if args.log:
-        write_lines(args.log, "%s", [log.to_tsv()])
+    write_files([(args.out, model_blocks(store)), (args.log, [log.to_tsv().encode()])])
     last = log.entries[-1]
     summary = f"trained {config.epochs} epochs; final objective {last.objective:.4f}"
     if validation is not None:
@@ -202,10 +199,8 @@ def _cmd_evaluate(args) -> str:
                         relations=dict(store.relations))
     test = list(read_tuple_stream(args.test, manifest))
     report = evaluate(store, test, threshold=args.threshold)
-    if args.report:
-        write_lines(args.report, "%s", [report.to_tsv()])
-    if args.pr_out:
-        write_lines(args.pr_out, "%.6f\t%.6f\t%.6g\n", report.pr_points)
+    write_files([(args.report, [report.to_tsv().encode()]),
+                 (args.pr_out, lines("%.6f\t%.6f\t%.6g\n", report.pr_points))])
     pooled = report.pooled
     return (f"{len(test)} cells @ threshold {args.threshold}: "
             f"precision {pooled.precision:.4f}, recall {pooled.recall:.4f}, "
@@ -233,7 +228,7 @@ def _cmd_predict(args) -> str:
     results = ["ERR_UNKNOWN_ENTITY"] * len(pairs[0])
     for at, p in zip(scored, probs):
         results[at] = f"{p:.17g}\t{classify(p, args.threshold)}"
-    write_lines(args.out, "%s\t%s\t%s\t%s\n", zip(*pairs, results))
+    write_files([(args.out, lines("%s\t%s\t%s\t%s\n", zip(*pairs, results)))])
     errors = len(results) - len(scored)
     summary = f"scored {len(scored)} pairs"
     if errors:
@@ -255,15 +250,13 @@ def _cmd_project(args) -> str:
     store = load_model(args.model)
     subset = [_parse_entity_ref(ref.strip()) for ref in read_columns(args.entities, 1, 1)[0]]
     coords = project_2d(store, subset)
-    write_lines(args.out, "%s\t%.17g\t%.17g\n", ((e.key, x, y) for e, x, y in coords))
+    write_files([(args.out, lines("%s\t%.17g\t%.17g\n", ((e.key, x, y) for e, x, y in coords)))])
     return f"projected {len(coords)} entities to 2-D"
 
 
 def _cmd_export_vectors(args) -> str:
     store = load_model(args.model)
-    with atomic_path(args.out) as tmp, open(tmp, "wb") as f:
-        write_rows(f, [f"{ent.type}:{ent.id}" for ent in store.entities], store.vectors,
-                   sep="\t")
+    write_files([(args.out, write_rows([e.key for e in store.entities], store.vectors, sep="\t"))])
     return f"exported {len(store.entities)} vectors of dimension {store.k}"
 
 
@@ -384,14 +377,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        summary = args.func(args)
-    except DivergenceError as exc:
-        print(f"relfactor: divergence: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, OSError) as exc:
-        print(f"relfactor: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning the filters show prints as one line
+        warnings.showwarning = lambda m, *_: print(f"relfactor: warning: {m}", file=sys.stderr)
+        try:
+            summary = args.func(args)
+        except DivergenceError as exc:
+            print(f"relfactor: divergence: {exc}", file=sys.stderr)
+            return 3
+        except (DataError, OSError) as exc:
+            print(f"relfactor: error: {exc}", file=sys.stderr)
+            return 2
     print(summary)
     return 0
 

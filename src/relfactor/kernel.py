@@ -2,8 +2,8 @@
 the number parser of load_model(), which reads a decimal of at most 19
 significant digits and a decimal exponent in -27..27 exactly with integer
 arithmetic and any other with strtod, so every number has float()'s bits;
-and the row writer of save_model() and export-vectors, which prints every
-number in 1e-16 <= |x| < 2^128, and both zeros, as ``"%.17g" % x`` does.
+and the row formatter of model.write_rows, whose blocks schema.write_files writes:
+it prints every number in 1e-16 <= |x| < 2^128, and both zeros, as ``"%.17g" % x``.
 
 The library is compiled on first use, with sysconfig's CC or else ``cc`` or
 ``gcc`` on PATH, and cached per user in ``$XDG_CACHE_HOME/relfactor`` (else
@@ -16,7 +16,7 @@ by the current user that no one else can write to.
 ``library()`` returns the one ``Library`` of a process, or None when there
 is no compiler, the compile fails, no cache directory is usable or the
 library does not load; train() then runs its Python reference loop,
-load_model() reads the numbers with float() and save_model() writes them
+load_model() reads the numbers with float() and write_rows formats them
 with its "%" template, which give the same numbers, bytes and errors.
 """
 

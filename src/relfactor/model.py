@@ -7,9 +7,10 @@ sigmoid(dot(v1, v2) [+ b1 + b2 + g_rel when biases are enabled]).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import DataError
 from .kernel import library
 from .rng import substream
 from .schema import (Cells, Database, EntityRegistry, LabeledCell, Manifest, Relation,
-                     atomic_path, format_manifest, parse_manifest, read_text)
+                     format_manifest, parse_manifest, read_text, write_files)
 
 MODEL_MAGIC = "relfactor-model"
 MODEL_VERSION = "v1"
@@ -231,15 +232,17 @@ def cells_log_likelihood(store: EmbeddingStore, cells: np.ndarray, lam: float) -
 # --- persistence -------------------------------------------------------------
 
 def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
-    """Write the versioned text format; loading it back is bit-exact.
+    """Write model_blocks(store) to path through schema.write_files; it loads back bit-exact."""
+    write_files([(path, model_blocks(store))])
+
+
+def model_blocks(store: EmbeddingStore) -> Iterator[bytes]:
+    """The versioned text format of store, in blocks of bytes formatted as they are read.
 
     The header line is followed by the type/relation block in manifest
     format, one line per entity, then the relation offsets when biases are on.
-    The file is written under a temporary name and renamed onto path, so a
-    save that fails leaves whatever path held before: the file records no
-    entity count, and a partly written one would load as a smaller store.
     A non-finite parameter or an entity key holding a tab or line end, which
-    load_model would refuse, raises DataError before anything is written.
+    load_model would refuse, raises DataError here, before any block.
     """
     keys = [f"{ent.type}:{ent.id}" for ent in store.entities]
     if any(map("".join(keys).__contains__, "\t\n\r")):  # one pass; find the key on failure
@@ -259,20 +262,17 @@ def save_model(store: EmbeddingStore, path: str | os.PathLike) -> None:
     manifest = Manifest(list(store.entities.types), store.relations)
     head = "".join(line + "\n" for line in [header, *format_manifest(manifest).splitlines()])
     biases = store.biases if store.enable_biases else np.zeros(len(keys))
-    with atomic_path(path) as tmp, open(tmp, "wb") as f:
-        f.write(head.encode("utf-8"))
-        write_rows(f, keys, store.vectors, biases)
-        f.write("".join(f"offset {name} {value:.17g}\n" for name, value in offsets).encode())
+    return itertools.chain([head.encode("utf-8")], write_rows(keys, store.vectors, biases),
+                           [f"offset {name} {value:.17g}\n".encode() for name, value in offsets])
 
 
-def write_rows(file, keys: Sequence[str], vectors: np.ndarray,
-               biases: Optional[np.ndarray] = None, sep: str = " ") -> None:
-    """Write one line per row of vectors to the binary file,
-    "<key>\tb=<bias>\t<c1><sep>...<sep><ck>\n", with no bias field when
-    biases is None, every number as "%.17g" % x writes it.
+def write_rows(keys: Sequence[str], vectors: np.ndarray,
+               biases: Optional[np.ndarray] = None, sep: str = " ") -> Iterator[bytes]:
+    """One line per row of vectors, "<key>\tb=<bias>\t<c1><sep>...<sep><ck>\n",
+    with no bias field when biases is None, every number as "%.17g" % x
+    writes it, in blocks of bytes of about _WRITE_VALUES numbers each.
 
-    Blocks of about _WRITE_VALUES numbers are formatted into one buffer and
-    written at once, by the compiled library when it is available
+    A block is formatted by the compiled library when it is available
     (kernel.format_rows); the rows it declines, and every row without it,
     come from the "%" template, the reference. Both give the same bytes.
     """
@@ -287,28 +287,26 @@ def write_rows(file, keys: Sequence[str], vectors: np.ndarray,
 
     lib = library()
     block = max(1, _WRITE_VALUES // (k + 1))
-    buffer = np.empty(0, dtype=np.uint8)
     for start in range(0, n, block):
         stop = min(start + block, n)
         if lib is None:
-            file.write(reference(start, stop))
+            yield reference(start, stop)
             continue
         encoded = [key.encode("utf-8") for key in keys[start:stop]]
         data = b"".join(encoded)
         key_ends = np.zeros(len(encoded) + 1, dtype=np.int64)
         np.cumsum(list(map(len, encoded)), out=key_ends[1:])
-        capacity = len(data) + len(encoded) * (4 + (k + 1) * 24)  # see NUMBER_MAX in kernel.c
-        if len(buffer) < capacity:
-            buffer = np.empty(capacity, dtype=np.uint8)
+        # room for every row at its longest, see NUMBER_MAX in kernel.c
+        buffer = np.empty(len(data) + len(encoded) * (4 + (k + 1) * 24), dtype=np.uint8)
         at = start
         while at < stop:
             rows, length = lib.format_rows(data, key_ends[at - start:],
                                            None if biases is None else biases[at:stop],
                                            vectors[at:stop], sep.encode(), buffer)
-            file.write(buffer[:length])
+            yield buffer[:length].tobytes()
             at += rows
             if at < stop:  # a row with a number outside the compiled writer's range
-                file.write(reference(at, at + 1))
+                yield reference(at, at + 1)
                 at += 1
 
 

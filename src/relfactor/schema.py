@@ -8,7 +8,6 @@ splits keep withheld entities in the registry).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import operator
 import os
@@ -463,34 +462,40 @@ def degree_stats(db: Database, relation: str) -> tuple[dict[str, int], dict[str,
 
 # --- file formats -----------------------------------------------------------
 
-# write_lines formats and writes this many lines at a time, and Cells looks
-# up the ids of this many cells at a time
-_LINE_BLOCK = 1 << 16
+_LINE_BLOCK = 1 << 16  # lines per block of lines(), and cells per id lookup of Cells
 
 
-@contextlib.contextmanager
-def atomic_path(path: str | os.PathLike) -> Iterator[Path]:
-    """Yield a temp path; rename it onto ``path`` only on success."""
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+def lines(template: str, rows: Iterable) -> Iterator[bytes]:
+    """``template % row`` for each row, in UTF-8 blocks of _LINE_BLOCK lines formatted lazily."""
+    formatted = map(template.__mod__, rows)
+    while block := list(itertools.islice(formatted, _LINE_BLOCK)):
+        yield "".join(block).encode("utf-8")
+
+
+def write_files(files: Iterable[tuple[str | os.PathLike, Iterable[bytes]]]) -> None:
+    """Write each (path, blocks) entry to a temporary file next to path and
+    rename them all once all are whole: a failure while writing changes no
+    path and leaves no temporary file, and a failing rename can still leave
+    earlier paths renamed. A None path (an optional output not asked for) is
+    skipped; a path naming no file, or two naming one, is a DataError."""
+    files = [(Path(path), blocks) for path, blocks in files if path is not None]
+    if not all(path.name for path, _ in files):
+        raise DataError("an output path names no file")
+    resolved = [path.resolve() for path, _ in files]
+    if len(set(resolved)) < len(files):
+        raise DataError(f"two outputs name one file: {max(resolved, key=resolved.count)}")
+    temps = [path.with_name(f".{path.name}.tmp.{os.getpid()}") for path, _ in files]
     try:
-        yield tmp
-        os.replace(tmp, target)
+        for tmp, (_, blocks) in zip(temps, files):
+            with open(tmp, "wb") as f:
+                for block in blocks:
+                    f.write(block)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def write_lines(path: str | os.PathLike, template: str, rows: Iterable) -> None:
-    """Write ``template % row`` for each row as UTF-8 text, _LINE_BLOCK rows
-    formatted and written at a time to an atomic_path temporary file that is
-    renamed onto path only after the last row: on any failure path is left
-    as it was and no temporary file remains."""
-    lines = map(template.__mod__, rows)
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        for first in lines:  # then the rest of its block
-            f.write(first)
-            f.write("".join(itertools.islice(lines, _LINE_BLOCK - 1)))
 
 
 def read_text(path: str | os.PathLike) -> str:

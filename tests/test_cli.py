@@ -10,7 +10,7 @@ import pytest
 from relfactor import ingest
 from relfactor.cli import main
 from relfactor.model import EmbeddingStore, load_model, save_model
-from relfactor.schema import _LINE_BLOCK, build_database, write_lines
+from relfactor.schema import _LINE_BLOCK, build_database, lines, write_files
 
 from conftest import MALFORMED_MODELS, RAW_INPUTS, write_model
 
@@ -123,7 +123,7 @@ def test_write_failing_part_way_leaves_nothing(tmp_path):
         yield ("a", "zz", 1)
 
     with pytest.raises(TypeError, match="%c"):
-        write_lines(tmp_path / "R.tsv", "R\t%c\t%c\t%s\n", rows())
+        write_files([(tmp_path / "R.tsv", lines("R\t%c\t%c\t%s\n", rows()))])
     assert seen == [(f".R.tsv.tmp.{os.getpid()}", True)]
     assert list(tmp_path.iterdir()) == []
 
@@ -216,6 +216,16 @@ class TestTrainCli:
         assert not target.exists()
         assert not list(tmp_path.glob(".m.rfm.tmp*"))
 
+    def test_log_naming_the_model_file_is_data_error(self, split_dir, tmp_path, capsys):
+        """The log would replace the model it names."""
+        target = tmp_path / "m.rfm"
+        assert run("train", "--data", str(split_dir / "train"),
+                   "--schema", str(split_dir / "train" / "manifest.txt"),
+                   "--relations", "R,C", "--k", "2", "--epochs", "1",
+                   "--out", str(target), "--log", str(target)) == 2
+        assert capsys.readouterr().err == f"relfactor: error: two outputs name one file: {target}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "split"]
+
 
 class TestEvaluateCli:
     def test_report_and_pr_files(self, model_path, split_dir, tmp_path):
@@ -227,6 +237,17 @@ class TestEvaluateCli:
         head = report.read_text().splitlines()
         assert head[0] == "dataset\ttp\tfp\ttn\tfn\tprecision\trecall\tf1"
         assert all(len(line.split("\t")) == 3 for line in pr.read_text().splitlines())
+
+    def test_report_and_pr_out_naming_one_file_is_data_error(self, model_path, split_dir,
+                                                             tmp_path, capsys, monkeypatch):
+        """Two spellings of one path: the PR points would replace the report."""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert run("evaluate", "--model", str(model_path), "--test", str(split_dir / "test.tsv"),
+                   "--report", "out.tsv", "--pr-out", "./out.tsv") == 2
+        err = capsys.readouterr().err
+        assert err == f"relfactor: error: two outputs name one file: {tmp_path / 'out.tsv'}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
     def test_bad_threshold_is_data_error(self, model_path, split_dir, tmp_path, capsys,
@@ -441,33 +462,6 @@ class TestIngestCli:
         assert (out / "Stars.tsv").read_text() == ("Stars\tb2\tp1\t1\nStars\tb1\tp2\t0\n"
                                                    "Stars\tb1\tp1\t1\n")
 
-    def test_failing_last_file_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        """Ingest renames its tuple streams only after every one is written:
-        a disk that fills while UW, the last, is written leaves neither R nor
-        BW behind, and no temporary file."""
-        self.write_raw(tmp_path)
-        real_open = io.open
-
-        def open_filling_uw(file, mode="r", *args, **kwargs):
-            f = real_open(file, mode, *args, **kwargs)
-            if "w" in mode and "UW" in os.path.basename(file):
-                def write(text):
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                f.write = write
-            return f
-
-        monkeypatch.setattr(builtins, "open", open_filling_uw)
-        monkeypatch.setattr(io, "open", open_filling_uw)
-        out = tmp_path / "tuples"
-        assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
-                   "--ratings", str(tmp_path / "ratings.tsv"),
-                   "--reviews", str(tmp_path / "reviews.tsv"), "--min-word-reviews", "1",
-                   "--out", str(out)) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("relfactor: error: ")
-        assert "No space left" in err[0]
-        assert list(out.iterdir()) == []
-
     def test_no_inputs_is_data_error(self, tmp_path):
         self.write_raw(tmp_path)
         assert run("ingest", "--schema", str(tmp_path / "schema.txt"),
@@ -508,6 +502,93 @@ class TestIngestCli:
         assert capsys.readouterr().err == (f"relfactor: error: two inputs map to relation "
                                            f"{relation}; give each its own relation\n")
         assert not (tmp_path / "tuples").exists()
+
+
+@pytest.mark.parametrize("command, last", [
+    ("synth", "C.tsv"), ("split held-out", "test.tsv"), ("split cold-start", "cold_entities"),
+    ("train", "log.tsv"), ("evaluate", "pr.tsv"), ("ingest", "UW")],
+    ids=["synth", "split-held-out", "split-cold-start", "train", "evaluate", "ingest"])
+def test_failing_last_file_leaves_no_file(command, last, request, tmp_path, capsys,
+                                          monkeypatch):
+    """Every command renames its outputs only once all of them are written: a
+    disk that fills while the last one is written leaves none of them under
+    the output, and no temporary file."""
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--users", "8", "--items", "8", "--categories", "3", "--out", str(out)]
+    elif command.startswith("split"):
+        data = request.getfixturevalue("dataset")
+        argv = ["split", "--schema", str(data / "manifest.txt"), "--data", str(data),
+                "--mode", command.split()[1], "--target", "R", "--out", str(out)]
+    elif command == "train":
+        split = request.getfixturevalue("split_dir")
+        out.mkdir()
+        argv = ["train", "--data", str(split / "train"),
+                "--schema", str(split / "train" / "manifest.txt"), "--relations", "R,C",
+                "--k", "2", "--epochs", "1", "--out", str(out / "m.rfm"),
+                "--log", str(out / "log.tsv")]
+    elif command == "evaluate":
+        split = request.getfixturevalue("split_dir")
+        out.mkdir()
+        argv = ["evaluate", "--model", str(request.getfixturevalue("model_path")),
+                "--test", str(split / "test.tsv"), "--report", str(out / "report.tsv"),
+                "--pr-out", str(out / "pr.tsv")]
+    else:
+        for name, text in RAW_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        argv = ["ingest", "--schema", str(tmp_path / "schema.txt"),
+                "--ratings", str(tmp_path / "ratings.tsv"),
+                "--reviews", str(tmp_path / "reviews.tsv"), "--min-word-reviews", "1",
+                "--out", str(out)]
+    real_open = io.open
+
+    def open_filling_last(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and last in os.path.basename(file):
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            f.write = write
+        return f
+
+    monkeypatch.setattr(builtins, "open", open_filling_last)
+    monkeypatch.setattr(io, "open", open_filling_last)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("relfactor: error: ")
+    assert "No space left" in err[0]
+    if command == "ingest":
+        assert list(out.iterdir()) == []
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("command", ["train", "export-vectors"])
+def test_empty_out_is_data_error(command, split_dir, model_path, tmp_path, capsys,
+                                 monkeypatch):
+    """An empty --out names no file: the command fails and writes nothing."""
+    if command == "train":
+        argv = ["train", "--data", str(split_dir / "train"),
+                "--schema", str(split_dir / "train" / "manifest.txt"),
+                "--relations", "R,C", "--k", "2", "--epochs", "1", "--out", ""]
+    else:
+        argv = ["export-vectors", "--model", str(model_path), "--out", ""]
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "relfactor: error: an output path names no file\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_warning_is_one_line(tmp_path, capsys):
+    """A degenerate cold-start draw warns in one line and still succeeds."""
+    data = tmp_path / "data"
+    assert run("synth", "--users", "6", "--items", "6", "--categories", "4",
+               "--out", str(data)) == 0
+    capsys.readouterr()
+    assert run("split", "--schema", str(data / "manifest.txt"), "--data", str(data),
+               "--mode", "cold-start", "--target", "C", "--out", str(tmp_path / "split")) == 0
+    assert capsys.readouterr().err == ("relfactor: warning: cold-side population has only 4 "
+                                       "entities; a 10% draw is degenerate\n")
 
 
 @pytest.mark.parametrize("mode", ["held-out", "cold-start"])

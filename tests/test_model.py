@@ -1,5 +1,4 @@
 import decimal
-import io
 import math
 import re
 import tracemalloc
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfactor import kernel, model
+from relfactor import kernel, model, schema
 from relfactor.errors import DataError
 from relfactor.evaluation import classify, evaluate, f1_report
 from relfactor.model import (EmbeddingStore, init_embeddings, load_model,
@@ -328,7 +327,7 @@ class TestPersistence:
                 self.file.flush()
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(model, "open", lambda *a, **kw: FullDisk(open(*a, **kw)),
+        monkeypatch.setattr(schema, "open", lambda *a, **kw: FullDisk(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError, match="No space"):
             save_model(EmbeddingStore(simple_db.entities, simple_db.relations,
@@ -742,7 +741,7 @@ class TestFastPath:
 # --- the compiled row writer against the "%" template -------------------------
 
 def written_rows(keys, vectors, biases, sep, directory):
-    """The bytes model.write_rows writes with the compiled library and
+    """The bytes model.write_rows yields with the compiled library and
     without it, after asserting both equal the "%" template of every row."""
     row = ("%s\tb=%.17g\t" if biases is not None else "%s\t") + sep.join(
         ["%.17g"] * vectors.shape[1]) + "\n"
@@ -750,9 +749,7 @@ def written_rows(keys, vectors, biases, sep, directory):
                        for r, key in enumerate(keys)).encode("utf-8")
 
     def write():
-        file = io.BytesIO()
-        model.write_rows(file, keys, vectors, biases, sep)
-        return file.getvalue()
+        return b"".join(model.write_rows(keys, vectors, biases, sep))
     compiled = write()
     with without_library(directory / "empty-cache"):
         python = write()
